@@ -41,6 +41,12 @@ def _default_budget() -> int:
         raise UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
 
 
+def _budget(args) -> int:
+    if args.budget < 0:
+        raise UsageError(f"budget must be >= 0, got {args.budget}")
+    return args.budget
+
+
 def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="exact rank k")
@@ -61,7 +67,11 @@ def _exact_via(route: str, n: int, k: int) -> motivic.MotivicClass:
 
 def _class_from_args(args) -> motivic.MotivicClass:
     n = args.n
+    if n < 0:
+        raise UsageError(f"--n must be >= 0, got {n}")
     if args.projective_full:
+        if n < 1:
+            raise UsageError(f"--projective-full needs --n >= 1, got {n}")
         return motivic.projective_full_rank(n)
     if args.range is not None:
         k, l = args.range
@@ -138,7 +148,7 @@ def cmd_count(args) -> int:
         raise ffield.OddPrimeRequired(
             f"brute force needs an odd prime q (the formula itself is fine at q={args.q}): {exc}"
         )
-    budget = args.budget
+    budget = _budget(args)
     if args.projective_full:
         brute = ffield.projective_count(args.n, field, budget)
     else:
@@ -160,14 +170,7 @@ def cmd_count(args) -> int:
 def _fiber_rows(n: int, field: ffield.PrimeField, budget: int):
     census = ffield.fiber_census(n, field, budget)
     minor_hist = ffield.enumerate_rank_counts(n - 1, field, budget)
-    p = field.p
-    expected: dict[tuple[int, int], int] = {}
-    for r, n_r in enumerate(minor_hist.counts):
-        if n_r == 0:
-            continue
-        for s, per_minor in ((r, p**r), (r + 1, p**r * (p - 1)), (r + 2, p**n - p ** (r + 1))):
-            if s <= n and per_minor * n_r:
-                expected[(r, s)] = per_minor * n_r
+    expected = verify.expected_fiber_table(n, field.p, minor_hist.counts)
     rows = []
     for key in sorted(set(census.table) | set(expected)):
         counted = census.table.get(key, 0)
@@ -178,7 +181,9 @@ def _fiber_rows(n: int, field: ffield.PrimeField, budget: int):
 
 def cmd_fibers(args) -> int:
     field = ffield.PrimeField(args.p)
-    rows = _fiber_rows(args.n, field, args.budget)
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    rows = _fiber_rows(args.n, field, _budget(args))
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -240,7 +245,7 @@ def cmd_verify(args) -> int:
     else:
         symbolic_max_n = verify.SYMBOLIC_MAX_N
         counting_max_n = verify.COUNTING_MAX_N
-    report = verify.run_full_suite(symbolic_max_n, counting_max_n, args.primes, args.budget)
+    report = verify.run_full_suite(symbolic_max_n, counting_max_n, args.primes, _budget(args))
     if args.format == "json":
         print(report.to_json())
     else:

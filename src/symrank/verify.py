@@ -92,6 +92,39 @@ def _validate_primes(primes) -> list[ffield.PrimeField]:
     return [ffield.PrimeField(p) for p in primes]
 
 
+#: Rank histograms already enumerated, by (n, p).
+Histograms = dict[tuple[int, int], ffield.RankHistogram]
+
+
+def _rank_counts(
+    histograms: Histograms, n: int, f: ffield.PrimeField, budget: int
+) -> ffield.RankHistogram:
+    """The (n, p) histogram, enumerated on first use."""
+    key = (n, f.p)
+    if key not in histograms:
+        histograms[key] = ffield.enumerate_rank_counts(n, f, budget)
+    return histograms[key]
+
+
+def expected_fiber_table(n: int, p: int, minor_counts) -> dict[tuple[int, int], int]:
+    """The (minor rank, full rank) census that the minor histogram
+    predicts: each of the N_r rank-r minors has p^r, p^r (p-1) and
+    p^n - p^(r+1) completions of full rank r, r+1 and r+2. Empty buckets
+    are omitted."""
+    table: dict[tuple[int, int], int] = {}
+    for r, n_r in enumerate(minor_counts):
+        if n_r == 0:
+            continue
+        for s, per_minor in (
+            (r, p**r),
+            (r + 1, p**r * (p - 1)),
+            (r + 2, p**n - p ** (r + 1)),
+        ):
+            if s <= n and per_minor * n_r:
+                table[(r, s)] = per_minor * n_r
+    return table
+
+
 def verify_formula_vs_recursion(max_n: int) -> VerificationReport:
     """Closed form == recursion for every stratum, the full-rank product
     identity, and the partition of affine space, all as exact polynomial
@@ -121,11 +154,16 @@ def verify_formula_vs_recursion(max_n: int) -> VerificationReport:
 
 
 def verify_point_counts(
-    max_n: int, primes, budget: int = ffield.DEFAULT_BUDGET
+    max_n: int,
+    primes,
+    budget: int = ffield.DEFAULT_BUDGET,
+    histograms: Histograms | None = None,
 ) -> VerificationReport:
     """Exhaustive rank histograms against the polynomial values at L = p
-    for every in-budget (n, p)."""
+    for every in-budget (n, p). Histograms found in ``histograms`` are
+    reused and new ones are added to it."""
     fields = _validate_primes(primes)
+    histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
     for n in range(0, max_n + 1):
         for f in fields:
@@ -136,7 +174,7 @@ def verify_point_counts(
                     _skip("point_count_histogram", params, _budget_reason(required, budget))
                 )
                 continue
-            counted = list(ffield.enumerate_rank_counts(n, f, budget).counts)
+            counted = list(_rank_counts(histograms, n, f, budget).counts)
             predicted = [
                 motivic.point_count(motivic.class_exact(n, k), f.p) for k in range(n + 1)
             ]
@@ -145,7 +183,10 @@ def verify_point_counts(
 
 
 def verify_fibers(
-    max_n: int, primes, budget: int = ffield.DEFAULT_BUDGET
+    max_n: int,
+    primes,
+    budget: int = ffield.DEFAULT_BUDGET,
+    histograms: Histograms | None = None,
 ) -> VerificationReport:
     """Fiber census bucket and marginal checks for every in-budget (n, p).
 
@@ -153,9 +194,12 @@ def verify_fibers(
     must read p^r * N_r, p^r (p-1) * N_r and (p^n - p^(r+1)) * N_r at
     full ranks r, r+1, r+2. Marginals: summing the census over minor
     rank reproduces the full histogram; summing over full rank gives
-    p^n * N_r.
+    p^n * N_r. The census is always enumerated afresh, so the marginals
+    compare two independent walks; the histograms come from (and go to)
+    ``histograms``.
     """
     fields = _validate_primes(primes)
+    histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
     for n in range(1, max_n + 1):
         for f in fields:
@@ -168,22 +212,12 @@ def verify_fibers(
                 continue
             p = f.p
             census = ffield.fiber_census(n, f, budget)
-            minor_hist = ffield.enumerate_rank_counts(n - 1, f, budget)
-            expected_table: dict[tuple[int, int], int] = {}
-            for r, n_r in enumerate(minor_hist.counts):
-                if n_r == 0:
-                    continue
-                for s, per_minor in (
-                    (r, p**r),
-                    (r + 1, p**r * (p - 1)),
-                    (r + 2, p**n - p ** (r + 1)),
-                ):
-                    if s <= n and per_minor * n_r:
-                        expected_table[(r, s)] = per_minor * n_r
+            minor_hist = _rank_counts(histograms, n - 1, f, budget)
+            expected_table = expected_fiber_table(n, p, minor_hist.counts)
             results.append(
                 _check("fiber_buckets", params, sorted(expected_table.items()), sorted(census.table.items()))
             )
-            full_hist = ffield.enumerate_rank_counts(n, f, budget)
+            full_hist = _rank_counts(histograms, n, f, budget)
             full_marginal = [0] * (n + 1)
             minor_marginal = [0] * n
             for (r, s), c in census.table.items():
@@ -205,12 +239,16 @@ def verify_fibers(
 
 
 def verify_projective(
-    max_n: int, primes, budget: int = ffield.DEFAULT_BUDGET
+    max_n: int,
+    primes,
+    budget: int = ffield.DEFAULT_BUDGET,
+    histograms: Histograms | None = None,
 ) -> VerificationReport:
     """(L - 1) divides the full-rank class symbolically for every n, and
     the quotient evaluated at p matches the enumerated projective count
-    for every in-budget (n, p)."""
+    for every in-budget (n, p), read off the (shared) histogram."""
     fields = _validate_primes(primes)
+    histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
     for n in range(1, max_n + 1):
         value = motivic.class_exact(n, n).value
@@ -244,7 +282,7 @@ def verify_projective(
                 )
                 continue
             predicted = motivic.point_count(motivic.projective_full_rank(n), f.p)
-            counted = ffield.projective_count(n, f, budget)
+            counted = _rank_counts(histograms, n, f, budget).projective_count()
             results.append(_check("projective_count", params, predicted, counted))
     return VerificationReport(results, {"max_n": max_n, "primes": [f.p for f in fields], "budget": budget})
 
@@ -255,12 +293,18 @@ def run_full_suite(
     primes=DEFAULT_PRIMES,
     budget: int = ffield.DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """All verifiers merged into one report, in a fixed order."""
+    """All verifiers merged into one report, in a fixed order.
+
+    The counting verifiers share one histogram per (n, p), enumerated
+    once in this call and dropped when it returns; the fiber census
+    still walks its space on its own.
+    """
+    histograms: Histograms = {}
     parts = [
         verify_formula_vs_recursion(symbolic_max_n),
-        verify_point_counts(counting_max_n, primes, budget),
-        verify_fibers(counting_max_n, primes, budget),
-        verify_projective(symbolic_max_n, primes, budget),
+        verify_point_counts(counting_max_n, primes, budget, histograms),
+        verify_fibers(counting_max_n, primes, budget, histograms),
+        verify_projective(symbolic_max_n, primes, budget, histograms),
     ]
     merged: list[CheckResult] = []
     for part in parts:

@@ -2,7 +2,7 @@
 one verdict line. Run with ``pytest tests/test_acceptance.py -v -s``.
 
 The counting criteria enumerate tens of millions of matrices; the whole
-module finishes in a couple of minutes single-threaded.
+module finishes in well under a minute single-threaded.
 """
 
 import random

@@ -58,6 +58,14 @@ class TestClassCommand:
         code, _, _ = run(capsys, "class", "--n", "4")
         assert code == 2
 
+    def test_negative_size_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "class", "--n", "-1", "--k", "0")
+        assert code == 2
+        assert err == "error: --n must be >= 0, got -1\n"
+        code, _, err = run(capsys, "class", "--n", "0", "--projective-full")
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestTableCommand:
     def test_small_table(self, capsys):
@@ -133,6 +141,11 @@ class TestCountCommand:
         code, _, _ = run(capsys, "count", "--n", "2", "--k", "1", "--q", "1")
         assert code == 2
 
+    def test_negative_size_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "count", "--n", "-2", "--k", "0", "--q", "3")
+        assert code == 2
+        assert err == "error: --n must be >= 0, got -2\n"
+
 
 class TestFibersCommand:
     def test_text_verdicts(self, capsys):
@@ -174,6 +187,11 @@ class TestFibersCommand:
         code, _, err = run(capsys, "fibers", "--n", "2", "--p", "2")
         assert code == 2
         assert "odd prime" in err
+
+    def test_size_zero_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "fibers", "--n", "0", "--p", "3")
+        assert code == 2
+        assert err == "error: --n must be >= 1, got 0\n"
 
 
 class TestDecomposeCommand:
@@ -219,6 +237,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--primes", "2")
         assert code == 2
         assert "odd prime" in err
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: budget must be >= 0, got -1\n"
 
     def test_json_report(self, capsys):
         code, out, _ = run(

@@ -107,7 +107,7 @@ class TestRank:
             m = SymMatrix.from_index(n, 3, idx)
             assert ffield.rank(m, f3) == rank_by_minors(m.to_dense(), 3)
 
-    @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("n,p", [(1, 97), (2, 3), (2, 5), (3, 3), (3, 5), (4, 3)])
     def test_batched_matches_scalar_exhaustively(self, n, p):
         field = PrimeField(p)
         total = p ** (n * (n + 1) // 2)
@@ -125,9 +125,16 @@ class TestRank:
             for _ in range(150)
         ]
         dense = np.array([m.to_dense() for m in mats], dtype=np.int32)
-        batched = _batched_rank(dense, field)
+        batched = _batched_rank(np.moveaxis(dense, 0, -1), field)
         for m, r in zip(mats, batched):
             assert r == ffield.rank(m, field)
+
+    def test_batched_edge_cases(self):
+        field = PrimeField(5)
+        sizes = _batched_rank(_dense_batch(np.arange(4, dtype=np.int64), 0, 5), field)
+        assert sizes.tolist() == [0, 0, 0, 0]
+        empty = _batched_rank(_dense_batch(np.arange(0, dtype=np.int64), 3, 5), field)
+        assert empty.shape == (0,)
 
 
 class TestEnumerateRankCounts:
@@ -228,6 +235,15 @@ class TestFiberCensus:
                 if s <= n and per_minor:
                     expected[(r, s)] = per_minor * n_r
         assert census.table == expected
+
+    @pytest.mark.parametrize("n,p", [(3, 3), (2, 5)])
+    def test_chunk_boundaries_inside_minor_runs(self, n, p, monkeypatch):
+        # A chunk size that does not divide p^n splits runs of completions
+        # that share one minor across chunks.
+        field = PrimeField(p)
+        whole = ffield.fiber_census(n, field)
+        monkeypatch.setattr(ffield, "_CHUNK", 7)
+        assert ffield.fiber_census(n, field) == whole
 
     def test_marginals(self):
         field = PrimeField(3)

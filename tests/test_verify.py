@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from symrank import verify
+from symrank import ffield, verify
 from symrank.ffield import OddPrimeRequired
 
 
@@ -129,3 +130,28 @@ class TestReports:
         assert table.endswith("result: PASS\n")
         assert "closed_form_equals_recursion" in table
         assert "total" in table
+
+
+def test_each_space_walked_once_per_run(monkeypatch):
+    walks = Counter()
+
+    def counting(kind, fn):
+        def shim(n, field, budget=ffield.DEFAULT_BUDGET):
+            walks[(kind, n, field.p)] += 1
+            return fn(n, field, budget)
+
+        return shim
+
+    monkeypatch.setattr(
+        ffield, "enumerate_rank_counts", counting("histogram", ffield.enumerate_rank_counts)
+    )
+    monkeypatch.setattr(ffield, "fiber_census", counting("census", ffield.fiber_census))
+    one_run = Counter(
+        {("histogram", n, p): 1 for n in range(3) for p in (3, 5)}
+        | {("census", n, p): 1 for n in range(1, 3) for p in (3, 5)}
+    )
+    first = verify.run_full_suite(2, 2, (3, 5))
+    assert walks == one_run
+    second = verify.run_full_suite(2, 2, (3, 5))
+    assert walks == one_run + one_run
+    assert first.to_json() == second.to_json()
