@@ -17,7 +17,6 @@ import os
 import sys
 
 from . import ffield, motivic, verify
-from .laurent import ZERO
 
 BUDGET_ENV = "SYMRANK_BUDGET"
 
@@ -44,6 +43,8 @@ def _default_budget() -> int:
 def _budget(args) -> int:
     if args.budget < 0:
         raise UsageError(f"budget must be >= 0, got {args.budget}")
+    if args.budget > ffield.MAX_BUDGET:
+        raise UsageError(f"budget must be <= {ffield.MAX_BUDGET}, got {args.budget}")
     return args.budget
 
 
@@ -75,26 +76,9 @@ def _class_from_args(args) -> motivic.MotivicClass:
         return motivic.projective_full_rank(n)
     if args.range is not None:
         k, l = args.range
-        if k > l:
-            raise motivic.InvalidRange(f"empty range [{k}, {l}]")
-        if args.route == "closed-form":
-            total = ZERO
-            for m in range(k, l + 1):
-                total = total + _exact_via(args.route, n, m).value
-            return motivic.MotivicClass(
-                motivic.VarietyDescriptor.rank_range(n, k, l), total, motivic.ROUTE_SUM
-            )
-        return motivic.class_range(n, k, l)
+        return motivic.class_range(n, k, l, route=args.route)
     if args.at_most is not None:
-        k = args.at_most
-        if args.route == "closed-form":
-            total = ZERO
-            for m in range(0, min(k, n) + 1):
-                total = total + _exact_via(args.route, n, m).value
-            return motivic.MotivicClass(
-                motivic.VarietyDescriptor.at_most(n, k), total, motivic.ROUTE_SUM
-            )
-        return motivic.class_at_most(n, k)
+        return motivic.class_at_most(n, args.at_most, route=args.route)
     return _exact_via(args.route, n, args.k)
 
 

@@ -31,6 +31,8 @@ import numpy as np
 
 #: Cap on matrix visits for the big enumerations (override per call).
 DEFAULT_BUDGET = 200_000_000
+#: Largest budget accepted: packed indices are int64 arrays.
+MAX_BUDGET = 2**63 - 1
 #: Cap on the p^n completions of a single minor.
 COMPLETIONS_CAP = 10_000_000
 
@@ -100,6 +102,20 @@ class PrimeField:
 
 def _triangle(n: int) -> int:
     return n * (n + 1) // 2
+
+
+def _space_size(n: int, p: int, budget: int) -> int:
+    """The p^(n(n+1)/2) matrices to visit, refused if over ``budget``.
+
+    Raises ``ValueError`` for a budget above :data:`MAX_BUDGET`, whose
+    indices would overflow the int64 arrays.
+    """
+    if budget > MAX_BUDGET:
+        raise ValueError(f"budget must be <= {MAX_BUDGET}, got {budget}")
+    total = p ** _triangle(n)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    return total
 
 
 @dataclass(frozen=True)
@@ -333,9 +349,7 @@ def enumerate_rank_counts(
     """
     if n < 0:
         raise ValueError(f"matrix size must be >= 0, got {n}")
-    total = field.p ** _triangle(n)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    total = _space_size(n, field.p, budget)
     counts = np.zeros(n + 1, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
@@ -380,9 +394,7 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
     if n < 1:
         raise ValueError(f"fiber census needs n >= 1, got {n}")
     p = field.p
-    total = p ** _triangle(n)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    total = _space_size(n, p, budget)
     # Packed layout puts the first row in the low digits, so consecutive
     # runs of p^n indices share one minor. Each chunk ranks just the
     # minors it touches, so memory follows the chunk, not the space.
@@ -429,10 +441,8 @@ def partitioned_enumeration(
     """
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
+    total = _space_size(n, field.p, budget)
     entries = _triangle(n)
-    total = field.p**entries
-    if total > budget:
-        raise BudgetExceeded(total, budget)
     t = 0
     while field.p**t < parts and t < entries:
         t += 1

@@ -6,14 +6,16 @@ negative, and nothing is ever rounded or truncated. The only division
 offered is *exact* division -- a formula that looks rational must clear
 its denominator completely or the operation fails loudly.
 
-Values are sparse: a term map from exponent to coefficient that never
-stores a zero coefficient, so two polynomials are equal iff their maps
-are equal.
+Values are dense: a lowest exponent plus the tuple of coefficients from
+that exponent up, with no zero at either end (the zero polynomial is the
+empty tuple at exponent 0). The form is canonical, so two polynomials
+are equal iff their exponents and tuples are equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping
 
 
@@ -30,7 +32,7 @@ class ZeroBase(ZeroDivisionError):
 
 
 class LaurentPolynomial:
-    """A sparse Laurent polynomial in L with integer coefficients.
+    """A dense Laurent polynomial in L with integer coefficients.
 
     Instances are immutable; every operation returns a new polynomial.
     Integers coerce on either side of the arithmetic operators.
@@ -43,25 +45,30 @@ class LaurentPolynomial:
     LaurentPolynomial('L^2')
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        cleaned: dict[int, int] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff != 0:
-                    cleaned[int(exp)] = int(coeff)
-        self._terms = cleaned
+        cleaned = {int(e): int(c) for e, c in terms.items() if c != 0} if terms else {}
+        if not cleaned:
+            self._lo, self._coeffs = 0, ()
+            return
+        lo = min(cleaned)
+        coeffs = [0] * (max(cleaned) - lo + 1)
+        for exp, coeff in cleaned.items():
+            coeffs[exp - lo] = coeff
+        self._lo, self._coeffs = lo, tuple(coeffs)
 
     def terms(self) -> dict[int, int]:
-        """A copy of the exponent -> coefficient map (zero-free)."""
-        return dict(self._terms)
+        """The exponent -> coefficient map (zero-free)."""
+        lo = self._lo
+        return {lo + i: c for i, c in enumerate(self._coeffs) if c}
 
     def coefficient(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
+        i = exp - self._lo
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def degree_range(self) -> tuple[int, int] | None:
         """The (lowest, highest) exponent carrying a nonzero coefficient.
@@ -71,31 +78,44 @@ class LaurentPolynomial:
         >>> (5 * monomial(1, -2) + L).degree_range()
         (-2, 1)
         """
-        if not self._terms:
+        if not self._coeffs:
             return None
-        return (min(self._terms), max(self._terms))
+        return (self._lo, self._lo + len(self._coeffs) - 1)
 
     # -- ring operations ------------------------------------------------
+
+    def _combine(self, other: LaurentPolynomial, op) -> LaurentPolynomial:
+        """``op`` (add or sub) applied coefficient-wise, slices aligned."""
+        a, b = self._coeffs, other._coeffs
+        if not b:
+            return self
+        if not a:
+            return other if op is add else -other
+        alo, blo = self._lo, other._lo
+        lo = min(alo, blo)
+        out = [0] * (max(alo + len(a), blo + len(b)) - lo)
+        i = alo - lo
+        out[i : i + len(a)] = a
+        j = blo - lo
+        out[j : j + len(b)] = map(op, out[j : j + len(b)], b)
+        return _stripped(lo, out)
 
     def __add__(self, other: int | LaurentPolynomial) -> LaurentPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            out[exp] = out.get(exp, 0) + coeff
-        return LaurentPolynomial(out)
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPolynomial:
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()})
+        return _canonical(self._lo, tuple(-c for c in self._coeffs))
 
     def __sub__(self, other: int | LaurentPolynomial) -> LaurentPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other: int | LaurentPolynomial) -> LaurentPolynomial:
         return (-self) + other
@@ -104,12 +124,25 @@ class LaurentPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return ZERO
+        if len(a) > len(b):
+            a, b = b, a
+        # Schoolbook, one row per nonzero coefficient of the shorter
+        # operand. Z is a domain, so the end coefficients stay nonzero.
+        # Rows for +-1 skip the scaling: the classes are built from
+        # factors like L^a - L^b, and this halves their cost.
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for i, c in enumerate(a):
+            if c == 1:
+                out[i : i + width] = map(add, out[i : i + width], b)
+            elif c == -1:
+                out[i : i + width] = map(sub, out[i : i + width], b)
+            elif c:
+                out[i : i + width] = map(add, out[i : i + width], map(c.__mul__, b))
+        return _canonical(self._lo + other._lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -140,36 +173,32 @@ class LaurentPolynomial:
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
             return ZERO
-        # Shift both operands down to ordinary polynomials with nonzero
-        # constant term; any Laurent quotient then shows up as an ordinary
-        # quotient times a power of L.
-        plo, phi = self.degree_range()
-        qlo, qhi = divisor.degree_range()
-        num = [0] * (phi - plo + 1)
-        for e, c in self._terms.items():
-            num[e - plo] = c
-        den = [0] * (qhi - qlo + 1)
-        for e, c in divisor._terms.items():
-            den[e - qlo] = c
-        dden = len(den) - 1
-        lead = den[dden]
-        quot: dict[int, int] = {}
-        top = len(num) - 1
-        while True:
-            while top >= 0 and num[top] == 0:
-                top -= 1
-            if top < 0:
-                break
-            if top < dden:
+        # Both coefficient tuples start at a nonzero constant term once
+        # their lowest exponents are set aside, so this is ordinary long
+        # division; the exponent offset of the quotient is lo - lo'.
+        num = list(self._coeffs)
+        den = divisor._coeffs
+        top = len(den) - 1
+        lead = den[top]
+        rest = [(i, c) for i, c in enumerate(den[:top]) if c]
+        size = len(num) - top
+        if size <= 0:
+            raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
+        quot = [0] * size
+        for shift in range(size - 1, -1, -1):
+            t = num[shift + top]
+            if not t:
+                continue
+            q, r = divmod(t, lead)
+            if r:
                 raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
-            q, r = divmod(num[top], lead)
-            if r != 0:
-                raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
-            shift = top - dden
-            quot[shift + plo - qlo] = q
-            for i, c in enumerate(den):
+            quot[shift] = q
+            for i, c in rest:
                 num[shift + i] -= q * c
-        return LaurentPolynomial(quot)
+        if any(num[:top]):
+            raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
+        # An exact quotient's end coefficients divide self's, so are nonzero.
+        return _canonical(self._lo - divisor._lo, tuple(quot))
 
     def eval_int(self, x: int) -> int | Fraction:
         """Exact evaluation at the integer ``x``.
@@ -178,16 +207,15 @@ class LaurentPolynomial:
         otherwise an exact ``Fraction``. Evaluating a polynomial with
         negative exponents at 0 raises :class:`ZeroBase`.
         """
-        if not self._terms:
-            return 0
-        lo = min(self._terms)
-        if x == 0:
-            if lo < 0:
-                raise ZeroBase("cannot evaluate negative exponents at 0")
-            return self._terms.get(0, 0)
+        lo = self._lo
+        if lo < 0 and x == 0:
+            raise ZeroBase("cannot evaluate negative exponents at 0")
+        value = 0
+        for c in reversed(self._coeffs):
+            value = value * x + c
         if lo >= 0:
-            return sum(c * x**e for e, c in self._terms.items())
-        return sum(Fraction(c) * Fraction(x) ** e for e, c in self._terms.items())
+            return value * x**lo
+        return Fraction(value, x**-lo)
 
     # -- comparisons and rendering ---------------------------------------
 
@@ -196,16 +224,43 @@ class LaurentPolynomial:
             other = monomial(other, 0)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._lo == other._lo and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # A constant hashes like the int it equals.
+        if self._lo == 0 and len(self._coeffs) <= 1:
+            return hash(self._coeffs[0] if self._coeffs else 0)
+        return hash((self._lo, self._coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial('{self}')"
+
+    def _render(self, left: str, right: str) -> str:
+        """Terms in decreasing exponent order, powers written L^<left>exp<right>."""
+        coeffs = self._coeffs
+        if not coeffs:
+            return "0"
+        lo = self._lo
+        parts: list[str] = []
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
+            if not c:
+                continue
+            exp = lo + i
+            mag = abs(c)
+            if exp == 0:
+                body = str(mag)
+            else:
+                var = "L" if exp == 1 else f"L^{left}{exp}{right}"
+                body = var if mag == 1 else f"{mag}{var}"
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+        # Every term carries a " + " / " - " separator; the leading
+        # term's becomes no sign or a bare "-".
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
     def __str__(self) -> str:
         """Canonical text form: terms in decreasing exponent order.
@@ -215,62 +270,51 @@ class LaurentPolynomial:
         >>> str(ZERO)
         '0'
         """
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for exp in sorted(self._terms, reverse=True):
-            c = self._terms[exp]
-            mag = abs(c)
-            if exp == 0:
-                body = str(mag)
-            else:
-                var = "L" if exp == 1 else f"L^{exp}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return self._render("", "")
 
     def latex(self) -> str:
         """LaTeX form in descending powers, e.g. ``L^{5} - L^{2}``."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for exp in sorted(self._terms, reverse=True):
-            c = self._terms[exp]
-            mag = abs(c)
-            if exp == 0:
-                body = str(mag)
-            else:
-                var = "L" if exp == 1 else f"L^{{{exp}}}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return self._render("{", "}")
 
     def to_json_dict(self) -> dict[str, str]:
         """JSON form: decimal exponent strings to decimal coefficient strings."""
-        return {str(e): str(self._terms[e]) for e in sorted(self._terms, reverse=True)}
+        coeffs, lo = self._coeffs, self._lo
+        return {str(lo + i): str(coeffs[i]) for i in range(len(coeffs) - 1, -1, -1) if coeffs[i]}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str]) -> LaurentPolynomial:
         return cls({int(e): int(c) for e, c in data.items()})
 
 
+def _canonical(lo: int, coeffs: tuple[int, ...]) -> LaurentPolynomial:
+    """Wrap coefficients already free of zeros at both ends."""
+    p = object.__new__(LaurentPolynomial)
+    p._lo, p._coeffs = (lo, coeffs) if coeffs else (0, ())
+    return p
+
+
+def _stripped(lo: int, coeffs: list[int]) -> LaurentPolynomial:
+    """Wrap coefficients after trimming zeros from both ends."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    start = 0
+    while start < hi and not coeffs[start]:
+        start += 1
+    return _canonical(lo + start, tuple(coeffs[start:hi]))
+
+
 def _coerce(value: object) -> LaurentPolynomial:
     if isinstance(value, LaurentPolynomial):
         return value
     if isinstance(value, int):
-        return LaurentPolynomial({0: value})
+        return monomial(value, 0)
     return NotImplemented
 
 
 def monomial(coeff: int, exp: int) -> LaurentPolynomial:
     """The single-term polynomial ``coeff * L^exp`` (zero if coeff is 0)."""
-    return LaurentPolynomial({exp: coeff})
+    return _canonical(int(exp), (int(coeff),) if coeff else ())
 
 
 ZERO = LaurentPolynomial()

@@ -166,11 +166,22 @@ def _exact_value(n: int, k: int) -> LaurentPolynomial:
     )
 
 
+def _strata_sum(n: int, ranks: range, route: str) -> LaurentPolynomial:
+    """Sum of the exact-rank classes over ``ranks``, each by ``route``."""
+    if route not in (ROUTE_RECURSION, ROUTE_CLOSED_FORM):
+        raise ValueError(f"unknown route {route!r}")
+    total = ZERO
+    for m in ranks:
+        if route == ROUTE_RECURSION:
+            total = total + _exact_value(n, m)
+        else:
+            total = total + closed_form(n, m).value
+    return total
+
+
 @functools.lru_cache(maxsize=None)
 def _at_most_value(n: int, k: int) -> LaurentPolynomial:
-    total = ZERO
-    for m in range(0, min(k, n) + 1):
-        total = total + _exact_value(n, m)
+    total = _strata_sum(n, range(0, min(k, n) + 1), ROUTE_RECURSION)
     if 0 < k < n:
         # The minor projection stratifies the rank-<=k locus into three
         # affine bundles; the resulting identity must agree with the sum
@@ -204,23 +215,30 @@ def class_exact(n: int, k: int) -> MotivicClass:
     return MotivicClass(VarietyDescriptor.exact(n, k), _exact_value(n, k), ROUTE_RECURSION)
 
 
-def class_at_most(n: int, k: int) -> MotivicClass:
-    """The class of n x n symmetric matrices of rank at most k."""
+def class_at_most(n: int, k: int, route: str = ROUTE_RECURSION) -> MotivicClass:
+    """The class of n x n symmetric matrices of rank at most k.
+
+    The strata are summed by ``route`` (``recursion`` or ``closed-form``);
+    the result's own route is ``sum`` either way.
+    """
     if n < 0:
         raise ValueError(f"matrix size must be >= 0, got {n}")
-    return MotivicClass(VarietyDescriptor.at_most(n, k), _at_most_value(n, k), ROUTE_SUM)
+    if route == ROUTE_RECURSION:
+        value = _at_most_value(n, k)
+    else:
+        value = _strata_sum(n, range(0, min(k, n) + 1), route)
+    return MotivicClass(VarietyDescriptor.at_most(n, k), value, ROUTE_SUM)
 
 
-def class_range(n: int, k: int, l: int) -> MotivicClass:
-    """The class of n x n symmetric matrices of rank between k and l."""
+def class_range(n: int, k: int, l: int, route: str = ROUTE_RECURSION) -> MotivicClass:
+    """The class of n x n symmetric matrices of rank between k and l,
+    with strata summed by ``route`` as in :func:`class_at_most`."""
     if n < 0:
         raise ValueError(f"matrix size must be >= 0, got {n}")
     if k > l:
         raise InvalidRange(f"empty range [{k}, {l}]")
-    total = ZERO
-    for m in range(k, l + 1):
-        total = total + _exact_value(n, m)
-    return MotivicClass(VarietyDescriptor.rank_range(n, k, l), total, ROUTE_SUM)
+    value = _strata_sum(n, range(k, l + 1), route)
+    return MotivicClass(VarietyDescriptor.rank_range(n, k, l), value, ROUTE_SUM)
 
 
 def closed_form(n: int, k: int) -> MotivicClass:

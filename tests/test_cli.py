@@ -1,7 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
+from symrank import ffield, motivic, verify
 from symrank.cli import main
 
 
@@ -92,6 +96,12 @@ class TestTableCommand:
         assert out.startswith("\\begin{tabular}")
         assert "$L^{3} - L^{2}$" in out
         assert out.endswith("\\end{tabular}\n")
+
+    def test_negative_max_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "table", "--max-n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-n must be >= 0\n"
 
 
 class TestCountCommand:
@@ -193,6 +203,25 @@ class TestFibersCommand:
         assert code == 2
         assert err == "error: --n must be >= 1, got 0\n"
 
+    def test_budget_refusal(self, capsys):
+        code, out, err = run(capsys, "fibers", "--n", "5", "--p", "5", "--budget", "10")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: enumeration needs {5**15} matrix visits")
+
+    def test_census_disagreement_is_verification_failure(self, capsys, monkeypatch):
+        expected_fiber_table = verify.expected_fiber_table
+
+        def off_by_one(n, p, minor_counts):
+            table = expected_fiber_table(n, p, minor_counts)
+            table[(0, 0)] += 1
+            return table
+
+        monkeypatch.setattr(verify, "expected_fiber_table", off_by_one)
+        code, out, _ = run(capsys, "fibers", "--n", "2", "--p", "3", "--format", "csv")
+        assert code == 1
+        assert "2,3,0,0,1,2,MISMATCH\n" in out
+
 
 class TestDecomposeCommand:
     def test_anchor(self, capsys):
@@ -244,6 +273,27 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: budget must be >= 0, got -1\n"
 
+    def test_budget_above_int64_cap_is_usage_error(self, capsys):
+        over = str(ffield.MAX_BUDGET + 1)
+        code, out, err = run(capsys, "verify", "--budget", over)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: budget must be <= {ffield.MAX_BUDGET}, got {over}\n"
+
+    def test_failed_check_is_verification_failure(self, capsys, monkeypatch):
+        closed_form = motivic.closed_form
+
+        def wrong_at_2_1(n, k):
+            c = closed_form(n, k)
+            if (n, k) == (2, 1):
+                return motivic.MotivicClass(c.descriptor, c.value + 1, c.route)
+            return c
+
+        monkeypatch.setattr(motivic, "closed_form", wrong_at_2_1)
+        code, out, _ = run(capsys, "verify", "--max-n", "2", "--primes", "3")
+        assert code == 1
+        assert "FAIL" in out
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--max-n", "2", "--primes", "3", "--format", "json"
@@ -268,6 +318,11 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "SYMRANK_BUDGET" in err
+    monkeypatch.setenv("SYMRANK_BUDGET", str(2**63))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: budget must be <= {2**63 - 1}, got {2**63}\n"
 
 
 def test_identical_invocations_are_byte_identical(capsys):
@@ -284,3 +339,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "L^3 - L^2\n"
+
+
+#: SHA-256 of stdout, recorded before the polynomial type moved from a
+#: sparse term map to dense coefficients; rendering must not drift.
+GOLDEN_SHA256 = {
+    "table --max-n 12":
+        "5df763832f5923eb62014919fe074e4ce097fc24faeddf9c783ce2dc6a6e1e7a",
+    "table --max-n 12 --format json":
+        "eed59d989cb795f906b23f89974d2ceae096edb6376a83ff172dc9871e4c67a3",
+    "table --max-n 12 --format csv":
+        "12b76eeea621277f516293d0a6c07839598b6ba8cc981e4591e3a54191f26113",
+    "table --max-n 12 --format latex":
+        "1e7f336e144a576bd3b407f9c767cd981e3e0755dd74dc6b4b35d68d47d2a343",
+    "class --n 20 --range 3 9 --route closed-form --format json":
+        "3126dc65bdb895bfe99850611f1ef2e63eef80a29580babe22c4b9a15adefade",
+    "class --n 20 --projective-full --format latex":
+        "7015456b30147b2692dd74cfdbaa2f2a40d735680549b05aff492a6b1a2e0fb1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
+def test_golden_output_digests(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]

@@ -157,6 +157,18 @@ class TestEnumerateRankCounts:
         assert excinfo.value.required == 3**6
         assert excinfo.value.budget == 100
 
+    def test_budget_above_int64_cap_refused(self):
+        field = PrimeField(3)
+        assert ffield.enumerate_rank_counts(1, field, budget=ffield.MAX_BUDGET).counts == (1, 2)
+        over = ffield.MAX_BUDGET + 1
+        for enumerate_space in (
+            lambda: ffield.enumerate_rank_counts(1, field, budget=over),
+            lambda: ffield.fiber_census(1, field, budget=over),
+            lambda: ffield.partitioned_enumeration(1, field, 2, budget=over),
+        ):
+            with pytest.raises(ValueError, match="budget must be <="):
+                enumerate_space()
+
 
 class TestCompletionsCensus:
     def test_examples(self):

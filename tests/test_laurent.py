@@ -126,6 +126,13 @@ def test_equality_and_hash():
     assert (L != 1) is True
 
 
+def test_constants_hash_like_ints():
+    for poly, value in ((ONE, 1), (ZERO, 0), (monomial(-3, 0), -3), (L - L - 1, -1)):
+        assert poly == value
+        assert hash(poly) == hash(value)
+        assert len({poly, value}) == 1
+
+
 def test_no_zero_coefficients_survive_operations():
     rng = random.Random(7)
     for _ in range(200):

@@ -88,6 +88,22 @@ class TestClassRange:
             motivic.class_range(4, 2, 1)
 
 
+def test_routes_agree_for_at_most_and_range():
+    for n in range(0, 9):
+        for l in range(-1, n + 2):
+            rec = motivic.class_at_most(n, l)
+            closed = motivic.class_at_most(n, l, route=motivic.ROUTE_CLOSED_FORM)
+            assert closed == rec
+            for k in range(-1, l + 1):
+                rec = motivic.class_range(n, k, l)
+                closed = motivic.class_range(n, k, l, route=motivic.ROUTE_CLOSED_FORM)
+                assert closed == rec
+    with pytest.raises(ValueError, match="unknown route"):
+        motivic.class_at_most(3, 1, route="guess")
+    with pytest.raises(ValueError, match="unknown route"):
+        motivic.class_range(3, 1, 2, route="guess")
+
+
 class TestClosedForm:
     def test_examples(self):
         assert motivic.closed_form(2, 2).value == L**3 - L**2
