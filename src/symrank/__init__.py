@@ -24,7 +24,6 @@ from .ffield import (
     completions_census,
     enumerate_rank_counts,
     fiber_census,
-    partitioned_enumeration,
     projective_count,
     rank,
 )

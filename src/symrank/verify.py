@@ -194,9 +194,10 @@ def verify_fibers(
     must read p^r * N_r, p^r (p-1) * N_r and (p^n - p^(r+1)) * N_r at
     full ranks r, r+1, r+2. Marginals: summing the census over minor
     rank reproduces the full histogram; summing over full rank gives
-    p^n * N_r. The census is always enumerated afresh, so the marginals
-    compare two independent walks; the histograms come from (and go to)
-    ``histograms``.
+    p^n * N_r. The census is always enumerated afresh, with the whole-
+    matrix kernel, while the histograms use bordered elimination, so the
+    marginals compare two independent walks and two rank kernels; the
+    histograms come from (and go to) ``histograms``.
     """
     fields = _validate_primes(primes)
     histograms = {} if histograms is None else histograms
@@ -297,7 +298,8 @@ def run_full_suite(
 
     The counting verifiers share one histogram per (n, p), enumerated
     once in this call and dropped when it returns; the fiber census
-    still walks its space on its own.
+    still walks its space on its own, with its own rank kernel, so the
+    fiber marginals compare two walks and two kernels.
     """
     histograms: Histograms = {}
     parts = [

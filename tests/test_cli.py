@@ -151,6 +151,20 @@ class TestCountCommand:
         code, _, _ = run(capsys, "count", "--n", "2", "--k", "1", "--q", "1")
         assert code == 2
 
+    def test_brute_force_mismatch_is_verification_failure(self, capsys, monkeypatch):
+        enumerate_rank_counts = ffield.enumerate_rank_counts
+
+        def off_by_one(n, field, budget=ffield.DEFAULT_BUDGET):
+            hist = enumerate_rank_counts(n, field, budget)
+            counts = list(hist.counts)
+            counts[1] += 1
+            return ffield.RankHistogram(hist.n, hist.p, tuple(counts))
+
+        monkeypatch.setattr(ffield, "enumerate_rank_counts", off_by_one)
+        code, out, _ = run(capsys, "count", "--n", "2", "--k", "1", "--q", "3", "--brute-force")
+        assert code == 1
+        assert out == "formula: 8\nbrute-force: 9\nverdict: MISMATCH\n"
+
     def test_negative_size_is_usage_error(self, capsys):
         code, _, err = run(capsys, "count", "--n", "-2", "--k", "0", "--q", "3")
         assert code == 2

@@ -33,6 +33,11 @@ def det_mod(rows, cols, mat, p):
     return total % p
 
 
+def bordered_ranks(n, field):
+    """Per-matrix ranks of the histogram kernel, in packed-index order."""
+    return np.concatenate([c.T.ravel() for c in ffield._bordered_rank_chunks(n, field)])
+
+
 def rank_by_minors(mat, p):
     """Largest s with some nonvanishing s x s minor (independent oracle)."""
     n = len(mat)
@@ -137,6 +142,28 @@ class TestRank:
         assert empty.shape == (0,)
 
 
+class TestBorderedKernel:
+    @pytest.mark.parametrize("n,p", [(0, 5), (1, 97), (2, 13), (3, 5), (4, 3)])
+    def test_matches_batched_matrix_for_matrix(self, n, p):
+        field = PrimeField(p)
+        idx = np.arange(p ** (n * (n + 1) // 2), dtype=np.int64)
+        expected = _batched_rank(_dense_batch(idx, n, p), field)
+        assert bordered_ranks(n, field).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("chunk", [7, 1, 100])
+    @pytest.mark.parametrize("n,p", [(3, 3), (2, 5)])
+    def test_chunk_size_changes_no_rank(self, n, p, chunk, monkeypatch):
+        # 7 and 1 split each minor's borders across chunks (1 down to one
+        # border per chunk); 100 groups 3 minors per chunk at (3, 3), and
+        # 4 at (2, 5), where the last chunk holds the one minor left.
+        field = PrimeField(p)
+        whole = ffield.enumerate_rank_counts(n, field)
+        ranks = bordered_ranks(n, field)
+        monkeypatch.setattr(ffield, "_CHUNK", chunk)
+        assert ffield.enumerate_rank_counts(n, field) == whole
+        assert bordered_ranks(n, field).tolist() == ranks.tolist()
+
+
 class TestEnumerateRankCounts:
     def test_examples(self):
         assert ffield.enumerate_rank_counts(1, PrimeField(3)).counts == (1, 2)
@@ -164,7 +191,6 @@ class TestEnumerateRankCounts:
         for enumerate_space in (
             lambda: ffield.enumerate_rank_counts(1, field, budget=over),
             lambda: ffield.fiber_census(1, field, budget=over),
-            lambda: ffield.partitioned_enumeration(1, field, 2, budget=over),
         ):
             with pytest.raises(ValueError, match="budget must be <="):
                 enumerate_space()
@@ -275,35 +301,6 @@ class TestProjectiveCount:
         assert ffield.projective_count(1, PrimeField(3)) == 1
         assert ffield.projective_count(2, PrimeField(3)) == 9
         assert ffield.projective_count(2, PrimeField(5)) == 25
-
-
-class TestPartitionedEnumeration:
-    def test_partition_by_first_entry(self):
-        parts = ffield.partitioned_enumeration(2, PrimeField(3), 3)
-        assert len(parts) == 3
-        merged = [sum(p.counts[k] for p in parts) for k in range(3)]
-        assert merged == [1, 8, 18]
-
-    def test_single_part(self):
-        parts = ffield.partitioned_enumeration(1, PrimeField(3), 1)
-        assert [p.counts for p in parts] == [(1, 2)]
-
-    def test_full_split_into_singletons(self):
-        parts = ffield.partitioned_enumeration(2, PrimeField(3), 27)
-        assert len(parts) == 27
-        assert all(p.total() == 1 for p in parts)
-        merged = [sum(p.counts[k] for p in parts) for k in range(3)]
-        assert merged == [1, 8, 18]
-
-    def test_part_count_rounds_up_to_power_of_p(self):
-        parts = ffield.partitioned_enumeration(2, PrimeField(3), 5)
-        assert len(parts) == 9
-        merged = [sum(p.counts[k] for p in parts) for k in range(3)]
-        assert merged == [1, 8, 18]
-
-    def test_rejects_bad_parts(self):
-        with pytest.raises(ValueError):
-            ffield.partitioned_enumeration(2, PrimeField(3), 0)
 
 
 class TestCsvEmission:

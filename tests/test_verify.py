@@ -155,3 +155,22 @@ def test_each_space_walked_once_per_run(monkeypatch):
     second = verify.run_full_suite(2, 2, (3, 5))
     assert walks == one_run + one_run
     assert first.to_json() == second.to_json()
+
+
+def test_histogram_and_census_use_different_kernels(monkeypatch):
+    # A fault planted in the census kernel alone must surface as a
+    # marginal mismatch against the histogram kernel.
+    batched_rank = ffield._batched_rank
+
+    def zero_matrix_off_by_one(dense, field):
+        ranks = batched_rank(dense, field)
+        if dense.shape[0]:
+            ranks = ranks + ~dense.any(axis=(0, 1))
+        return ranks
+
+    monkeypatch.setattr(ffield, "_batched_rank", zero_matrix_off_by_one)
+    report = verify.run_full_suite(2, 2, (3,))
+    statuses = Counter((r.check_id, r.status) for r in report.results)
+    assert statuses[("fiber_marginals", "fail")] > 0
+    assert statuses[("point_count_histogram", "pass")] == 3
+    assert statuses[("point_count_histogram", "fail")] == 0
