@@ -21,7 +21,6 @@ from .ffield import (
     PrimeField,
     RankHistogram,
     SymMatrix,
-    completions_census,
     enumerate_rank_counts,
     fiber_census,
     projective_count,

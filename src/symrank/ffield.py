@@ -10,20 +10,18 @@ Matrices are packed as their upper triangle in row-major order, so entry
 (0, 0) comes first, the rest of the first row next, and the minor
 obtained by deleting the first row and column occupies the trailing
 slots. Enumeration is lexicographic with the first packed entry varying
-fastest, which makes every traversal (and every emitted CSV) reproducible
-byte for byte.
+fastest, which makes every traversal reproducible.
 
 The per-matrix work is vectorized with numpy, in two independent
 kernels. Rank histograms (:func:`enumerate_rank_counts`) use bordered
 elimination: each run of p^n consecutive indices shares one minor, so
 every minor is Gauss-Jordan reduced once, batched across minors, and each
 completion then reduces only its first row and column against the
-reduced minor. The fiber and completion censuses use
-:func:`_batched_rank`, which eliminates whole matrices in lockstep, one
-pivot column at a time across the batch. The census marginals are
-checked against the histograms, so each kernel tests the other. The
-14.3M-matrix histogram at n = 5, p = 3 takes about 0.4 s on one core of
-a 2-vCPU Xeon VM.
+reduced minor. The fiber census uses :func:`_batched_rank`, which
+eliminates whole matrices in lockstep, one pivot column at a time across
+the batch. The census marginals are checked against the histograms, so
+each kernel tests the other. The 14.3M-matrix histogram at n = 5, p = 3
+takes about 0.4 s on one core of a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ import numpy as np
 DEFAULT_BUDGET = 200_000_000
 #: Largest budget accepted: packed indices are int64 arrays.
 MAX_BUDGET = 2**63 - 1
-#: Cap on the p^n completions of a single minor.
-COMPLETIONS_CAP = 10_000_000
 
 _CHUNK = 1 << 16
 
@@ -173,10 +169,6 @@ class SymMatrix:
                 out[j][i] = v
         return out
 
-    def minor(self) -> SymMatrix:
-        """The matrix with its first row and column deleted."""
-        return SymMatrix(max(self.n - 1, 0), self.entries[self.n :])
-
 
 @dataclass(frozen=True)
 class RankHistogram:
@@ -204,12 +196,6 @@ class RankHistogram:
             )
         return quotient
 
-    def to_csv(self) -> str:
-        lines = ["n,p,k,count"]
-        for k, c in enumerate(self.counts):
-            lines.append(f"{self.n},{self.p},{k},{c}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class FiberCensus:
@@ -222,12 +208,6 @@ class FiberCensus:
 
     def total(self) -> int:
         return sum(self.table.values())
-
-    def to_csv(self) -> str:
-        lines = ["n,p,minor_rank,full_rank,count"]
-        for (r, s) in sorted(self.table):
-            lines.append(f"{self.n},{self.p},{r},{s},{self.table[(r, s)]}")
-        return "\n".join(lines) + "\n"
 
 
 def rank(m: SymMatrix, field: PrimeField) -> int:
@@ -485,33 +465,6 @@ def enumerate_rank_counts(
     for ranks in _bordered_rank_chunks(n, field):
         counts += np.bincount(ranks.ravel(), minlength=n + 1)
     return RankHistogram(n, field.p, tuple(int(c) for c in counts))
-
-
-def completions_census(minor: SymMatrix, field: PrimeField) -> dict[int, int]:
-    """Rank histogram of all p^n symmetric completions of a fixed minor.
-
-    The completed matrix has ``minor`` as the block left after deleting
-    the first row and column; the p^n choices are the (0, 0) entry plus
-    the rest of the first row. With r the minor's rank, the histogram is
-    expected to be {r: p^r, r+1: p^r(p-1), r+2: p^n - p^(r+1)} (zero
-    buckets omitted); this function merely counts, it does not assume.
-    """
-    n = minor.n + 1
-    p = field.p
-    total = p**n
-    if total > COMPLETIONS_CAP:
-        raise BudgetExceeded(total, COMPLETIONS_CAP)
-    minor_digits = np.array(minor.entries, dtype=np.int32)[:, None]
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        # The first row fills the n low packed slots, the minor the rest.
-        digits = np.empty((_triangle(n), len(idx)), dtype=np.int32)
-        digits[:n] = _decode_digits(idx, n, p)
-        digits[n:] = minor_digits
-        ranks = _batched_rank(digits[_pack_positions(n)], field)
-        counts += np.bincount(ranks, minlength=n + 1)
-    return {s: int(c) for s, c in enumerate(counts) if c}
 
 
 def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> FiberCensus:

@@ -1,20 +1,22 @@
-"""Exact arithmetic for Laurent polynomials in one variable ``L``.
+"""Exact arithmetic for polynomials in one variable ``L``.
 
-Every class computed by this package lives in the ring Z[L, L^-1]:
-coefficients are Python's arbitrary-precision integers, exponents may be
-negative, and nothing is ever rounded or truncated. The only division
-offered is *exact* division -- a formula that looks rational must clear
-its denominator completely or the operation fails loudly.
+Every class computed by this package lives in the ring Z[L]:
+coefficients are Python's arbitrary-precision integers, exponents are
+never negative (L is never inverted), and nothing is ever rounded or
+truncated. The only division offered is *exact* division -- a formula
+that looks rational must clear its denominator completely in Z[L] or
+the operation fails loudly.
 
-Values are dense: a lowest exponent plus the tuple of coefficients from
-that exponent up, with no zero at either end (the zero polynomial is the
-empty tuple at exponent 0). The form is canonical, so two polynomials
-are equal iff their exponents and tuples are equal.
+Values are dense: the valuation ``_lo`` (the lowest exponent with a
+nonzero coefficient) plus the tuple of coefficients from it up, with no
+zero at either end (zero is the empty tuple at 0). Starting at the
+valuation, not at L^0, halves classes like [60, 60] (L^930 to L^1830).
+The form is canonical, so two polynomials are equal iff their
+valuations and tuples are equal.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, sub
 from typing import Mapping
 
@@ -24,23 +26,18 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class NonzeroRemainder(ArithmeticError):
-    """Exact division failed: no quotient exists in Z[L, L^-1]."""
-
-
-class ZeroBase(ZeroDivisionError):
-    """Evaluation at 0 of a polynomial with negative exponents."""
+    """Exact division failed: no quotient exists in Z[L]."""
 
 
 class LaurentPolynomial:
-    """A dense Laurent polynomial in L with integer coefficients.
+    """A dense polynomial in L with integer coefficients.
 
     Instances are immutable; every operation returns a new polynomial.
-    Integers coerce on either side of the arithmetic operators.
+    Integers coerce on either side of the arithmetic operators. A
+    negative exponent raises ``ValueError``.
 
     >>> (L - 1) * (L + 1)
     LaurentPolynomial('L^2 - 1')
-    >>> monomial(1, 1) * monomial(1, -1)
-    LaurentPolynomial('1')
     >>> (L**3 - L**2).div_exact(L - 1)
     LaurentPolynomial('L^2')
     """
@@ -48,6 +45,8 @@ class LaurentPolynomial:
     __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
+        if terms and min(terms) < 0:
+            raise ValueError(f"negative exponent {min(terms)}: L is never inverted")
         cleaned = {int(e): int(c) for e, c in terms.items() if c != 0} if terms else {}
         if not cleaned:
             self._lo, self._coeffs = 0, ()
@@ -69,18 +68,6 @@ class LaurentPolynomial:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def degree_range(self) -> tuple[int, int] | None:
-        """The (lowest, highest) exponent carrying a nonzero coefficient.
-
-        Returns ``None`` for the zero polynomial.
-
-        >>> (5 * monomial(1, -2) + L).degree_range()
-        (-2, 1)
-        """
-        if not self._coeffs:
-            return None
-        return (self._lo, self._lo + len(self._coeffs) - 1)
 
     # -- ring operations ------------------------------------------------
 
@@ -148,7 +135,7 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int) -> LaurentPolynomial:
         if n < 0:
-            raise ValueError("negative powers are not defined; build L^-k via monomial")
+            raise ValueError("negative powers are not defined: L is never inverted")
         result = ONE
         base = self
         while n:
@@ -159,10 +146,11 @@ class LaurentPolynomial:
         return result
 
     def div_exact(self, divisor: int | LaurentPolynomial) -> LaurentPolynomial:
-        """The unique r with r * divisor == self, if one exists in Z[L, L^-1].
+        """The unique r with r * divisor == self, if one exists in Z[L].
 
         Raises :class:`NonzeroRemainder` when no exact quotient exists
-        (including quotients that would need fractional coefficients) and
+        (including quotients that would need fractional coefficients or
+        a negative power of L, as in ``L.div_exact(L**2)``) and
         :class:`DivisionByZero` when the divisor is zero. Remainders are
         an error, never a truncation.
         """
@@ -173,9 +161,13 @@ class LaurentPolynomial:
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
             return ZERO
-        # Both coefficient tuples start at a nonzero constant term once
-        # their lowest exponents are set aside, so this is ordinary long
-        # division; the exponent offset of the quotient is lo - lo'.
+        # Z is a domain, so valuations add under multiplication: the
+        # quotient's is the difference, and must not be negative.
+        lo = self._lo - divisor._lo
+        if lo < 0:
+            raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
+        # With the valuations set aside, both tuples start at a nonzero
+        # constant term, so this is ordinary long division.
         num = list(self._coeffs)
         den = divisor._coeffs
         top = len(den) - 1
@@ -198,24 +190,14 @@ class LaurentPolynomial:
         if any(num[:top]):
             raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
         # An exact quotient's end coefficients divide self's, so are nonzero.
-        return _canonical(self._lo - divisor._lo, tuple(quot))
+        return _canonical(lo, tuple(quot))
 
-    def eval_int(self, x: int) -> int | Fraction:
-        """Exact evaluation at the integer ``x``.
-
-        Returns an ``int`` when the polynomial has no negative exponents,
-        otherwise an exact ``Fraction``. Evaluating a polynomial with
-        negative exponents at 0 raises :class:`ZeroBase`.
-        """
-        lo = self._lo
-        if lo < 0 and x == 0:
-            raise ZeroBase("cannot evaluate negative exponents at 0")
+    def eval_int(self, x: int) -> int:
+        """Exact evaluation at the integer ``x`` (Horner's rule)."""
         value = 0
         for c in reversed(self._coeffs):
             value = value * x + c
-        if lo >= 0:
-            return value * x**lo
-        return Fraction(value, x**-lo)
+        return value * x**self._lo
 
     # -- comparisons and rendering ---------------------------------------
 
@@ -281,10 +263,6 @@ class LaurentPolynomial:
         coeffs, lo = self._coeffs, self._lo
         return {str(lo + i): str(coeffs[i]) for i in range(len(coeffs) - 1, -1, -1) if coeffs[i]}
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, str]) -> LaurentPolynomial:
-        return cls({int(e): int(c) for e, c in data.items()})
-
 
 def _canonical(lo: int, coeffs: tuple[int, ...]) -> LaurentPolynomial:
     """Wrap coefficients already free of zeros at both ends."""
@@ -313,7 +291,11 @@ def _coerce(value: object) -> LaurentPolynomial:
 
 
 def monomial(coeff: int, exp: int) -> LaurentPolynomial:
-    """The single-term polynomial ``coeff * L^exp`` (zero if coeff is 0)."""
+    """The single-term polynomial ``coeff * L^exp`` (zero if coeff is 0).
+
+    A negative ``exp`` raises ``ValueError``."""
+    if exp < 0:
+        raise ValueError(f"negative exponent {exp}: L is never inverted")
     return _canonical(int(exp), (int(coeff),) if coeff else ())
 
 

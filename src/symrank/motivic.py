@@ -35,10 +35,6 @@ class InvalidRange(ValueError):
     """A rank range [k, l] with k > l."""
 
 
-class NegativeExponent(ValueError):
-    """A class value with negative exponents where a polynomial is required."""
-
-
 RANK_EXACT = "exact"
 RANK_AT_MOST = "at_most"
 RANK_RANGE = "range"
@@ -316,11 +312,6 @@ def tate_decomposition(c: MotivicClass) -> list[TateSummand]:
     a proved multiplicity table. Summands are returned in decreasing
     twist order.
     """
-    lo_hi = c.value.degree_range()
-    if lo_hi is not None and lo_hi[0] < 0:
-        raise NegativeExponent(
-            f"class {c.value} has negative exponents; no Tate candidate exists"
-        )
     summands = []
     for exp in sorted(c.value.terms(), reverse=True):
         coeff = c.value.coefficient(exp)
@@ -338,7 +329,7 @@ def tate_decomposition(c: MotivicClass) -> list[TateSummand]:
 
 def euler_characteristic(c: MotivicClass) -> int:
     """Specialization of the class at L = 1."""
-    return int(c.value.eval_int(1))
+    return c.value.eval_int(1)
 
 
 def point_count(c: MotivicClass, q: int) -> int:
@@ -347,7 +338,7 @@ def point_count(c: MotivicClass, q: int) -> int:
     claim is made for characteristic 2."""
     if q < 2:
         raise ValueError(f"field size must be >= 2, got {q}")
-    return int(c.value.eval_int(q))
+    return c.value.eval_int(q)
 
 
 def clear_caches() -> None:

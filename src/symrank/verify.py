@@ -84,8 +84,20 @@ def _skip(check_id: str, params: dict[str, int], reason: str) -> CheckResult:
     return CheckResult(check_id, params, STATUS_SKIPPED, reason=reason)
 
 
-def _budget_reason(required: int, budget: int) -> str:
-    return f"requires {required} matrix visits, budget is {budget}"
+def _counting_grid(ns, fields, budget: int, check_ids, results: list[CheckResult]):
+    """The (n, field, params) points of the grid ``ns`` x ``fields`` whose
+    space fits ``budget``, in grid order. Each other point instead gets
+    one skip result per check in ``check_ids``, appended to ``results``."""
+    for n in ns:
+        for f in fields:
+            params = {"n": n, "p": f.p}
+            try:
+                ffield._space_size(n, f.p, budget)
+            except ffield.BudgetExceeded as exc:
+                reason = f"requires {exc.required} matrix visits, budget is {exc.budget}"
+                results.extend(_skip(check_id, params, reason) for check_id in check_ids)
+                continue
+            yield n, f, params
 
 
 def _validate_primes(primes) -> list[ffield.PrimeField]:
@@ -165,20 +177,11 @@ def verify_point_counts(
     fields = _validate_primes(primes)
     histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
-    for n in range(0, max_n + 1):
-        for f in fields:
-            params = {"n": n, "p": f.p}
-            required = f.p ** (n * (n + 1) // 2)
-            if required > budget:
-                results.append(
-                    _skip("point_count_histogram", params, _budget_reason(required, budget))
-                )
-                continue
-            counted = list(_rank_counts(histograms, n, f, budget).counts)
-            predicted = [
-                motivic.point_count(motivic.class_exact(n, k), f.p) for k in range(n + 1)
-            ]
-            results.append(_check("point_count_histogram", params, predicted, counted))
+    checks = ("point_count_histogram",)
+    for n, f, params in _counting_grid(range(max_n + 1), fields, budget, checks, results):
+        counted = list(_rank_counts(histograms, n, f, budget).counts)
+        predicted = [motivic.point_count(motivic.class_exact(n, k), f.p) for k in range(n + 1)]
+        results.append(_check("point_count_histogram", params, predicted, counted))
     return VerificationReport(results, {"max_n": max_n, "primes": [f.p for f in fields], "budget": budget})
 
 
@@ -202,40 +205,33 @@ def verify_fibers(
     fields = _validate_primes(primes)
     histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
-    for n in range(1, max_n + 1):
-        for f in fields:
-            params = {"n": n, "p": f.p}
-            required = f.p ** (n * (n + 1) // 2)
-            if required > budget:
-                reason = _budget_reason(required, budget)
-                results.append(_skip("fiber_buckets", params, reason))
-                results.append(_skip("fiber_marginals", params, reason))
-                continue
-            p = f.p
-            census = ffield.fiber_census(n, f, budget)
-            minor_hist = _rank_counts(histograms, n - 1, f, budget)
-            expected_table = expected_fiber_table(n, p, minor_hist.counts)
-            results.append(
-                _check("fiber_buckets", params, sorted(expected_table.items()), sorted(census.table.items()))
+    checks = ("fiber_buckets", "fiber_marginals")
+    for n, f, params in _counting_grid(range(1, max_n + 1), fields, budget, checks, results):
+        p = f.p
+        census = ffield.fiber_census(n, f, budget)
+        minor_hist = _rank_counts(histograms, n - 1, f, budget)
+        expected_table = expected_fiber_table(n, p, minor_hist.counts)
+        results.append(
+            _check("fiber_buckets", params, sorted(expected_table.items()), sorted(census.table.items()))
+        )
+        full_hist = _rank_counts(histograms, n, f, budget)
+        full_marginal = [0] * (n + 1)
+        minor_marginal = [0] * n
+        for (r, s), c in census.table.items():
+            full_marginal[s] += c
+            minor_marginal[r] += c
+        expected_marginals = (
+            list(full_hist.counts),
+            [p**n * n_r for n_r in minor_hist.counts],
+        )
+        results.append(
+            _check(
+                "fiber_marginals",
+                params,
+                expected_marginals,
+                (full_marginal, minor_marginal),
             )
-            full_hist = _rank_counts(histograms, n, f, budget)
-            full_marginal = [0] * (n + 1)
-            minor_marginal = [0] * n
-            for (r, s), c in census.table.items():
-                full_marginal[s] += c
-                minor_marginal[r] += c
-            expected_marginals = (
-                list(full_hist.counts),
-                [p**n * n_r for n_r in minor_hist.counts],
-            )
-            results.append(
-                _check(
-                    "fiber_marginals",
-                    params,
-                    expected_marginals,
-                    (full_marginal, minor_marginal),
-                )
-            )
+        )
     return VerificationReport(results, {"max_n": max_n, "primes": [f.p for f in fields], "budget": budget})
 
 
@@ -273,18 +269,11 @@ def verify_projective(
                     actual=f"{type(exc).__name__}: {exc}",
                 )
             )
-    for n in range(1, max_n + 1):
-        for f in fields:
-            params = {"n": n, "p": f.p}
-            required = f.p ** (n * (n + 1) // 2)
-            if required > budget:
-                results.append(
-                    _skip("projective_count", params, _budget_reason(required, budget))
-                )
-                continue
-            predicted = motivic.point_count(motivic.projective_full_rank(n), f.p)
-            counted = _rank_counts(histograms, n, f, budget).projective_count()
-            results.append(_check("projective_count", params, predicted, counted))
+    checks = ("projective_count",)
+    for n, f, params in _counting_grid(range(1, max_n + 1), fields, budget, checks, results):
+        predicted = motivic.point_count(motivic.projective_full_rank(n), f.p)
+        counted = _rank_counts(histograms, n, f, budget).projective_count()
+        results.append(_check("projective_count", params, predicted, counted))
     return VerificationReport(results, {"max_n": max_n, "primes": [f.p for f in fields], "budget": budget})
 
 

@@ -142,7 +142,7 @@ def test_criterion_9_ring_layer_properties():
     def poly():
         terms = {}
         for _ in range(rng.randint(0, 6)):
-            e = rng.randint(-4, 8)
+            e = rng.randint(0, 12)
             terms[e] = terms.get(e, 0) + rng.randint(-9, 9)
         return LaurentPolynomial(terms)
 

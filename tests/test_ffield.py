@@ -7,10 +7,8 @@ import pytest
 from symrank import ffield
 from symrank.ffield import (
     BudgetExceeded,
-    FiberCensus,
     OddPrimeRequired,
     PrimeField,
-    RankHistogram,
     SymMatrix,
     _batched_rank,
     _dense_batch,
@@ -68,7 +66,6 @@ class TestSymMatrix:
         m = SymMatrix.from_dense([[1, 2, 0], [2, 1, 1], [0, 1, 2]])
         assert m.entries == (1, 2, 0, 1, 1, 2)
         assert m.to_dense() == [[1, 2, 0], [2, 1, 1], [0, 1, 2]]
-        assert m.minor().to_dense() == [[1, 1], [1, 2]]
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -196,56 +193,6 @@ class TestEnumerateRankCounts:
                 enumerate_space()
 
 
-class TestCompletionsCensus:
-    def test_examples(self):
-        f3 = PrimeField(3)
-        assert ffield.completions_census(SymMatrix(1, (0,)), f3) == {0: 1, 1: 2, 2: 6}
-        assert ffield.completions_census(SymMatrix(1, (1,)), f3) == {1: 3, 2: 6}
-        identity2 = SymMatrix.from_dense([[1, 0], [0, 1]])
-        assert ffield.completions_census(identity2, f3) == {2: 9, 3: 18}
-
-    def test_degenerate_empty_minor(self):
-        assert ffield.completions_census(SymMatrix(0, ()), PrimeField(3)) == {0: 1, 1: 2}
-
-    @pytest.mark.parametrize("p", [3, 5])
-    @pytest.mark.parametrize("minor_n", [0, 1, 2])
-    def test_bucket_closed_forms_all_small_minors(self, minor_n, p):
-        field = PrimeField(p)
-        n = minor_n + 1
-        for idx in range(p ** (minor_n * (minor_n + 1) // 2)):
-            minor = SymMatrix.from_index(minor_n, p, idx)
-            r = ffield.rank(minor, field)
-            expected = {
-                s: c
-                for s, c in (
-                    (r, p**r),
-                    (r + 1, p**r * (p - 1)),
-                    (r + 2, p**n - p ** (r + 1)),
-                )
-                if s <= n and c
-            }
-            assert ffield.completions_census(minor, field) == expected
-
-    def test_bucket_closed_forms_size_three_minors(self):
-        field = PrimeField(3)
-        for idx in range(3**6):
-            minor = SymMatrix.from_index(3, 3, idx)
-            r = ffield.rank(minor, field)
-            census = ffield.completions_census(minor, field)
-            assert sum(census.values()) == 3**4
-            expected = {
-                s: c
-                for s, c in ((r, 3**r), (r + 1, 3**r * 2), (r + 2, 3**4 - 3 ** (r + 1)))
-                if s <= 4 and c
-            }
-            assert census == expected
-
-    def test_cap_refusal(self):
-        minor = SymMatrix(9, (0,) * 45)
-        with pytest.raises(BudgetExceeded):
-            ffield.completions_census(minor, PrimeField(7))
-
-
 class TestFiberCensus:
     def test_small_table(self):
         census = ffield.fiber_census(2, PrimeField(3))
@@ -302,19 +249,3 @@ class TestProjectiveCount:
         assert ffield.projective_count(2, PrimeField(3)) == 9
         assert ffield.projective_count(2, PrimeField(5)) == 25
 
-
-class TestCsvEmission:
-    def test_rank_histogram_csv(self):
-        hist = RankHistogram(2, 3, (1, 8, 18))
-        assert hist.to_csv() == "n,p,k,count\n2,3,0,1\n2,3,1,8\n2,3,2,18\n"
-
-    def test_fiber_census_csv_sorted(self):
-        census = FiberCensus(2, 3, {(1, 2): 12, (0, 0): 1, (0, 1): 2, (1, 1): 6, (0, 2): 6})
-        assert census.to_csv() == (
-            "n,p,minor_rank,full_rank,count\n"
-            "2,3,0,0,1\n"
-            "2,3,0,1,2\n"
-            "2,3,0,2,6\n"
-            "2,3,1,1,6\n"
-            "2,3,1,2,12\n"
-        )

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,7 +10,6 @@ from symrank.laurent import (
     DivisionByZero,
     LaurentPolynomial,
     NonzeroRemainder,
-    ZeroBase,
     monomial,
 )
 
@@ -21,7 +19,7 @@ EVAL_POINTS = (-3, 2, 3, 5, 7)
 def random_poly(rng: random.Random, max_terms: int = 6) -> LaurentPolynomial:
     terms: dict[int, int] = {}
     for _ in range(rng.randint(0, max_terms)):
-        e = rng.randint(-4, 8)
+        e = rng.randint(0, 12)
         terms[e] = terms.get(e, 0) + rng.randint(-9, 9)
     return LaurentPolynomial(terms)
 
@@ -41,7 +39,6 @@ def test_add_cancellation():
 
 
 def test_mul():
-    assert L * monomial(1, -1) == ONE
     assert (L - 1) * (L + 1) == L**2 - 1
     # schoolbook: (L - 1)(L^2 - 1) = L*L^2 - L - L^2 + 1
     assert (L - 1) * (L**2 - 1) == L**3 - L**2 - L + 1
@@ -57,11 +54,6 @@ def test_div_exact():
     with pytest.raises(DivisionByZero):
         ONE.div_exact(ZERO)
     assert ZERO.div_exact(L - 1) == ZERO
-
-
-def test_div_exact_laurent_shifts():
-    assert ONE.div_exact(monomial(1, -1)) == L
-    assert (monomial(1, -2) - monomial(1, -3)).div_exact(L - 1) == monomial(1, -3)
     with pytest.raises(NonzeroRemainder):
         (2 * L).div_exact(3 * L)
 
@@ -77,21 +69,20 @@ def test_eval_int():
     )
     assert invertible == 18
     assert (L**3 - L**2).eval_int(3) == invertible
-
-
-def test_eval_int_negative_exponents():
-    p = monomial(1, -1) + 1
-    assert p.eval_int(2) == Fraction(3, 2)
-    with pytest.raises(ZeroBase):
-        p.eval_int(0)
-    # a genuine polynomial may be evaluated at 0
     assert (L**2 + 7).eval_int(0) == 7
 
 
-def test_degree_range():
-    assert (L**3 - L**2).degree_range() == (2, 3)
-    assert ZERO.degree_range() is None
-    assert (5 * monomial(1, -2) + L).degree_range() == (-2, 1)
+def test_negative_exponents_refused():
+    with pytest.raises(ValueError):
+        LaurentPolynomial({-1: 1, 2: 3})
+    with pytest.raises(ValueError):
+        monomial(1, -1)
+    with pytest.raises(NonzeroRemainder):
+        L.div_exact(L**2)
+    with pytest.raises(NonzeroRemainder):
+        (L + 1).div_exact(L**2 + L)  # would be L^-1
+    for x in (-3, 0, 2):
+        assert type((L**3 - 2 * L).eval_int(x)) is int
 
 
 def test_canonical_text_form():
@@ -99,7 +90,6 @@ def test_canonical_text_form():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"
     assert str(-(L**2)) == "-L^2"
-    assert str(5 * monomial(1, -2) + L) == "L + 5L^-2"
     assert str(2 * L - 3) == "2L - 3"
     assert repr(L - 1) == "LaurentPolynomial('L - 1')"
 
@@ -114,8 +104,8 @@ def test_json_round_trip():
     p = L**5 - L**2
     data = p.to_json_dict()
     assert data == {"5": "1", "2": "-1"}
-    assert LaurentPolynomial.from_json_dict(data) == p
-    assert LaurentPolynomial.from_json_dict({}) == ZERO
+    assert LaurentPolynomial({int(e): int(c) for e, c in data.items()}) == p
+    assert ZERO.to_json_dict() == {}
 
 
 def test_equality_and_hash():
