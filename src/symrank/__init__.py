@@ -20,11 +20,9 @@ from .ffield import (
     FiberCensus,
     PrimeField,
     RankHistogram,
-    SymMatrix,
     enumerate_rank_counts,
     fiber_census,
     projective_count,
-    rank,
 )
 
 __version__ = "0.1.0"

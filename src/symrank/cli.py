@@ -60,12 +60,6 @@ def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _exact_via(route: str, n: int, k: int) -> motivic.MotivicClass:
-    if route == "closed-form":
-        return motivic.closed_form(n, k)
-    return motivic.class_exact(n, k)
-
-
 def _class_from_args(args) -> motivic.MotivicClass:
     n = args.n
     if n < 0:
@@ -79,7 +73,7 @@ def _class_from_args(args) -> motivic.MotivicClass:
         return motivic.class_range(n, k, l, route=args.route)
     if args.at_most is not None:
         return motivic.class_at_most(n, args.at_most, route=args.route)
-    return _exact_via(args.route, n, args.k)
+    return motivic.class_exact(n, args.k, args.route)
 
 
 def cmd_class(args) -> int:
@@ -97,7 +91,7 @@ def cmd_table(args) -> int:
     if args.max_n < 0:
         raise UsageError("--max-n must be >= 0")
     rows = [
-        (n, k, _exact_via(args.route, n, k))
+        (n, k, motivic.class_exact(n, k, args.route))
         for n in range(0, args.max_n + 1)
         for k in range(0, n + 1)
     ]
@@ -137,13 +131,7 @@ def cmd_count(args) -> int:
         brute = ffield.projective_count(args.n, field, budget)
     else:
         hist = ffield.enumerate_rank_counts(args.n, field, budget)
-        if args.range is not None:
-            k, l = args.range
-            brute = sum(hist.counts[m] for m in range(max(k, 0), min(l, args.n) + 1))
-        elif args.at_most is not None:
-            brute = sum(hist.counts[m] for m in range(0, min(args.at_most, args.n) + 1))
-        else:
-            brute = hist.counts[args.k] if 0 <= args.k <= args.n else 0
+        brute = sum(hist.counts[m] for m in cls.descriptor.ranks())
     verdict = "MATCH" if brute == formula else "MISMATCH"
     print(f"formula: {formula}")
     print(f"brute-force: {brute}")
@@ -250,13 +238,13 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p_class = sub.add_parser("class", help="one class as a polynomial in L")
     p_class.add_argument("--n", type=int, required=True, help="matrix size")
     _add_rank_flags(p_class)
-    p_class.add_argument("--route", choices=["recursion", "closed-form"], default="recursion")
+    p_class.add_argument("--route", choices=motivic.ROUTES, default="recursion")
     p_class.add_argument("--format", choices=["text", "json", "latex"], default="text")
     p_class.set_defaults(func=cmd_class)
 
     p_table = sub.add_parser("table", help="all exact-rank classes up to a size")
     p_table.add_argument("--max-n", type=int, required=True)
-    p_table.add_argument("--route", choices=["recursion", "closed-form"], default="recursion")
+    p_table.add_argument("--route", choices=motivic.ROUTES, default="recursion")
     p_table.add_argument("--format", choices=["text", "json", "csv", "latex"], default="text")
     p_table.set_defaults(func=cmd_table)
 
@@ -269,7 +257,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
         action="store_true",
         help="also enumerate (odd prime q only) and compare",
     )
-    p_count.add_argument("--route", choices=["recursion", "closed-form"], default="recursion")
+    p_count.add_argument("--route", choices=motivic.ROUTES, default="recursion")
     p_count.add_argument("--budget", type=int, default=default_budget)
     p_count.set_defaults(func=cmd_count)
 

@@ -119,58 +119,6 @@ def _space_size(n: int, p: int, budget: int) -> int:
 
 
 @dataclass(frozen=True)
-class SymMatrix:
-    """A symmetric n x n matrix stored as its packed upper triangle."""
-
-    n: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"matrix size must be >= 0, got {self.n}")
-        if len(self.entries) != _triangle(self.n):
-            raise ValueError(
-                f"need {_triangle(self.n)} packed entries for n={self.n}, "
-                f"got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_dense(cls, rows: list[list[int]]) -> SymMatrix:
-        n = len(rows)
-        for i in range(n):
-            if len(rows[i]) != n:
-                raise ValueError("dense matrix must be square")
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-        packed = tuple(rows[i][j] for i in range(n) for j in range(i, n))
-        return cls(n, packed)
-
-    @classmethod
-    def from_index(cls, n: int, p: int, index: int) -> SymMatrix:
-        """The matrix at a lexicographic position (first packed entry is
-        the least-significant base-p digit of ``index``)."""
-        count = _triangle(n)
-        if not 0 <= index < p**count:
-            raise ValueError(f"index {index} out of range for n={n}, p={p}")
-        digits = []
-        for _ in range(count):
-            index, d = divmod(index, p)
-            digits.append(d)
-        return cls(n, tuple(digits))
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.n for _ in range(self.n)]
-        it = iter(self.entries)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                v = next(it)
-                out[i][j] = v
-                out[j][i] = v
-        return out
-
-
-@dataclass(frozen=True)
 class RankHistogram:
     """Rank tallies of an enumerated set of symmetric matrices.
 
@@ -181,9 +129,6 @@ class RankHistogram:
     n: int
     p: int
     counts: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.counts)
 
     def projective_count(self) -> int:
         """Full-rank matrices up to scalar: ``counts[n]`` divided, exactly,
@@ -205,35 +150,6 @@ class FiberCensus:
     n: int
     p: int
     table: dict[tuple[int, int], int]
-
-    def total(self) -> int:
-        return sum(self.table.values())
-
-
-def rank(m: SymMatrix, field: PrimeField) -> int:
-    """Rank over F_p by Gaussian elimination with first-nonzero pivots."""
-    p = field.p
-    inv = field.inverse_table
-    a = [[x % p for x in row] for row in m.to_dense()]
-    n = m.n
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot_inv = inv[a[r][col]]
-        a[r] = [(x * pivot_inv) % p for x in a[r]]
-        for i in range(r + 1, n):
-            f = a[i][col]
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
 
 
 @functools.lru_cache(maxsize=None)

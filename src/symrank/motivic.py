@@ -16,6 +16,12 @@ The same classes admit a closed product formula whose denominator
 divides the numerator exactly in Z[L]; this module computes both and
 the package's verification layer insists they agree everywhere.
 
+This module alone maps a rank condition to the ranks it covers
+(:meth:`VarietyDescriptor.ranks`) and a route to the function computing
+an exact-rank class (:func:`class_exact`); every other class sums
+exact-rank classes over its ranks. The bundle identity of the rank-<=k
+locus is the verification layer's ``at_most_bundle`` check.
+
 Everything here is a pure function over immutable values. The memo
 table behind the recursion is idempotent per key, so concurrent fills
 are harmless; :func:`clear_caches` exists so tests can prove the cache
@@ -25,7 +31,6 @@ is semantically invisible.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 from .laurent import L, ONE, ZERO, LaurentPolynomial, monomial
@@ -44,6 +49,8 @@ ROUTE_RECURSION = "recursion"
 ROUTE_CLOSED_FORM = "closed-form"
 ROUTE_QUOTIENT = "quotient"
 ROUTE_SUM = "sum"
+#: The routes an exact-rank class can be computed by.
+ROUTES = (ROUTE_RECURSION, ROUTE_CLOSED_FORM)
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,12 @@ class VarietyDescriptor:
     def projective_full(cls, n: int) -> VarietyDescriptor:
         return cls(n, RANK_PROJECTIVE_FULL, n)
 
+    def ranks(self) -> range:
+        """The exact ranks the descriptor covers, clipped to 0..n."""
+        lo = 0 if self.kind == RANK_AT_MOST else self.k
+        hi = self.l if self.kind == RANK_RANGE else self.k
+        return range(max(lo, 0), min(hi, self.n) + 1)
+
     def rank_json(self) -> dict:
         out: dict = {"kind": self.kind, "k": self.k}
         if self.kind == RANK_RANGE:
@@ -114,9 +127,6 @@ class MotivicClass:
             "polynomial": self.value.to_json_dict(),
             "route": self.route,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -162,41 +172,17 @@ def _exact_value(n: int, k: int) -> LaurentPolynomial:
     )
 
 
-def _strata_sum(n: int, ranks: range, route: str) -> LaurentPolynomial:
-    """Sum of the exact-rank classes over ``ranks``, each by ``route``."""
-    if route not in (ROUTE_RECURSION, ROUTE_CLOSED_FORM):
+def _strata_sum(descriptor: VarietyDescriptor, route: str) -> LaurentPolynomial:
+    """Sum of the exact-rank classes over ``descriptor.ranks()``, each by
+    ``route``; an unknown route raises even when no rank is covered."""
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    total = ZERO
-    for m in ranks:
-        if route == ROUTE_RECURSION:
-            total = total + _exact_value(n, m)
-        else:
-            total = total + closed_form(n, m).value
-    return total
+    return sum((class_exact(descriptor.n, m, route).value for m in descriptor.ranks()), ZERO)
 
 
-@functools.lru_cache(maxsize=None)
-def _at_most_value(n: int, k: int) -> LaurentPolynomial:
-    total = _strata_sum(n, range(0, min(k, n) + 1), ROUTE_RECURSION)
-    if 0 < k < n:
-        # The minor projection stratifies the rank-<=k locus into three
-        # affine bundles; the resulting identity must agree with the sum
-        # of exact-rank classes or the recursion is mistranscribed.
-        bundles = (
-            monomial(1, n) * _at_most_value(n - 1, k - 2)
-            + monomial(1, k) * _exact_value(n - 1, k - 1)
-            + monomial(1, k) * _exact_value(n - 1, k)
-        )
-        if bundles != total:
-            raise RuntimeError(
-                f"bundle decomposition of the rank-<={k} locus disagrees with the "
-                f"stratum sum at n={n}: {bundles} != {total}"
-            )
-    return total
-
-
-def class_exact(n: int, k: int) -> MotivicClass:
-    """The class of n x n symmetric matrices of rank exactly k.
+def class_exact(n: int, k: int, route: str = ROUTE_RECURSION) -> MotivicClass:
+    """The class of n x n symmetric matrices of rank exactly k, by
+    ``route``: ``recursion``, or ``closed-form`` (:func:`closed_form`).
 
     Any integer k is accepted; the class is 0 outside 0 <= k <= n
     because the recursion naturally probes out-of-range indices.
@@ -206,8 +192,10 @@ def class_exact(n: int, k: int) -> MotivicClass:
     >>> class_exact(2, 2).value
     LaurentPolynomial('L^3 - L^2')
     """
-    if n < 0:
-        raise ValueError(f"matrix size must be >= 0, got {n}")
+    if route == ROUTE_CLOSED_FORM:
+        return closed_form(n, k)
+    if route != ROUTE_RECURSION:
+        raise ValueError(f"unknown route {route!r}")
     return MotivicClass(VarietyDescriptor.exact(n, k), _exact_value(n, k), ROUTE_RECURSION)
 
 
@@ -217,24 +205,15 @@ def class_at_most(n: int, k: int, route: str = ROUTE_RECURSION) -> MotivicClass:
     The strata are summed by ``route`` (``recursion`` or ``closed-form``);
     the result's own route is ``sum`` either way.
     """
-    if n < 0:
-        raise ValueError(f"matrix size must be >= 0, got {n}")
-    if route == ROUTE_RECURSION:
-        value = _at_most_value(n, k)
-    else:
-        value = _strata_sum(n, range(0, min(k, n) + 1), route)
-    return MotivicClass(VarietyDescriptor.at_most(n, k), value, ROUTE_SUM)
+    descriptor = VarietyDescriptor.at_most(n, k)
+    return MotivicClass(descriptor, _strata_sum(descriptor, route), ROUTE_SUM)
 
 
 def class_range(n: int, k: int, l: int, route: str = ROUTE_RECURSION) -> MotivicClass:
     """The class of n x n symmetric matrices of rank between k and l,
     with strata summed by ``route`` as in :func:`class_at_most`."""
-    if n < 0:
-        raise ValueError(f"matrix size must be >= 0, got {n}")
-    if k > l:
-        raise InvalidRange(f"empty range [{k}, {l}]")
-    value = _strata_sum(n, range(k, l + 1), route)
-    return MotivicClass(VarietyDescriptor.rank_range(n, k, l), value, ROUTE_SUM)
+    descriptor = VarietyDescriptor.rank_range(n, k, l)
+    return MotivicClass(descriptor, _strata_sum(descriptor, route), ROUTE_SUM)
 
 
 def closed_form(n: int, k: int) -> MotivicClass:
@@ -249,8 +228,6 @@ def closed_form(n: int, k: int) -> MotivicClass:
     >>> closed_form(3, 1).value
     LaurentPolynomial('L^3 - 1')
     """
-    if n < 0:
-        raise ValueError(f"matrix size must be >= 0, got {n}")
     descriptor = VarietyDescriptor.exact(n, k)
     if k < 0 or k > n:
         return MotivicClass(descriptor, ZERO, ROUTE_CLOSED_FORM)
@@ -344,4 +321,3 @@ def point_count(c: MotivicClass, q: int) -> int:
 def clear_caches() -> None:
     """Drop all memoized class values (recomputation must be identical)."""
     _exact_value.cache_clear()
-    _at_most_value.cache_clear()

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import ffield, motivic
-from .laurent import L, ZERO, monomial
+from .laurent import L, ZERO, NonzeroRemainder, monomial
 
 #: Symbolic identities are cheap; check them this deep by default.
 SYMBOLIC_MAX_N = 12
@@ -70,8 +70,8 @@ class VerificationReport:
             "results": [r.to_json_dict() for r in self.results],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _check(check_id: str, params: dict[str, int], expected, actual) -> CheckResult:
@@ -138,8 +138,9 @@ def expected_fiber_table(n: int, p: int, minor_counts) -> dict[tuple[int, int], 
 
 
 def verify_formula_vs_recursion(max_n: int) -> VerificationReport:
-    """Closed form == recursion for every stratum, the full-rank product
-    identity, and the partition of affine space, all as exact polynomial
+    """Closed form == recursion for every stratum, the bundle identity
+    of the rank-<=k locus for 0 < k < n, the full-rank product identity,
+    and the partition of affine space, all as exact polynomial
     equalities up to size ``max_n``."""
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
@@ -153,6 +154,14 @@ def verify_formula_vs_recursion(max_n: int) -> VerificationReport:
             stratum_sum = stratum_sum + rec
         affine = monomial(1, n * (n + 1) // 2)
         results.append(_check("strata_sum_to_affine_space", {"n": n}, affine, stratum_sum))
+        for k in range(1, n):
+            # The minor projection splits the rank-<=k locus into three
+            # affine bundles over the strata of size n - 1.
+            below = motivic.class_at_most(n - 1, k - 2).value
+            edge = motivic.class_exact(n - 1, k - 1).value + motivic.class_exact(n - 1, k).value
+            bundles = monomial(1, n) * below + monomial(1, k) * edge
+            at_most = motivic.class_at_most(n, k).value
+            results.append(_check("at_most_bundle", {"n": n, "k": k}, at_most, bundles))
         if n >= 1:
             results.append(
                 _check(
@@ -251,15 +260,7 @@ def verify_projective(
         value = motivic.class_exact(n, n).value
         try:
             quotient = value.div_exact(L - 1)
-            results.append(
-                _check(
-                    "projective_divisibility",
-                    {"n": n},
-                    value,
-                    quotient * (L - 1),
-                )
-            )
-        except Exception as exc:  # NonzeroRemainder would be a formula bug
+        except NonzeroRemainder as exc:  # a formula bug; anything else propagates
             results.append(
                 CheckResult(
                     "projective_divisibility",
@@ -269,6 +270,8 @@ def verify_projective(
                     actual=f"{type(exc).__name__}: {exc}",
                 )
             )
+        else:
+            results.append(_check("projective_divisibility", {"n": n}, value, quotient * (L - 1)))
     checks = ("projective_count",)
     for n, f, params in _counting_grid(range(1, max_n + 1), fields, budget, checks, results):
         predicted = motivic.point_count(motivic.projective_full_rank(n), f.p)

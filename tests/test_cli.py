@@ -110,6 +110,12 @@ class TestCountCommand:
         assert code == 0
         assert out == "formula: 18\nbrute-force: 18\nverdict: MATCH\n"
 
+    @pytest.mark.parametrize("ranks,count", [(("--range", "-1", "2"), 261), (("--k", "5"), 0)])
+    def test_brute_force_clips_ranks_to_size(self, capsys, ranks, count):
+        code, out, _ = run(capsys, "count", "--n", "3", *ranks, "--q", "3", "--brute-force")
+        assert code == 0
+        assert out == f"formula: {count}\nbrute-force: {count}\nverdict: MATCH\n"
+
     def test_prime_power_formula_only(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "2", "--k", "2", "--q", "9")
         assert code == 0
@@ -308,6 +314,20 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_bundle_fault_is_verification_failure(self, capsys, monkeypatch):
+        class_at_most = motivic.class_at_most
+
+        def wrong_at_3_1(n, k, route=motivic.ROUTE_RECURSION):
+            c = class_at_most(n, k, route)
+            if (n, k) == (3, 1):
+                return motivic.MotivicClass(c.descriptor, c.value + 1, c.route)
+            return c
+
+        monkeypatch.setattr(motivic, "class_at_most", wrong_at_3_1)
+        code, out, _ = run(capsys, "verify", "--max-n", "4", "--primes", "3")
+        assert code == 1
+        assert "FAIL at_most_bundle {'n': 3, 'k': 1}" in out
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--max-n", "2", "--primes", "3", "--format", "json"
@@ -356,7 +376,8 @@ def test_module_entry_point():
 
 
 #: SHA-256 of stdout, recorded before the polynomial type moved from a
-#: sparse term map to dense coefficients; rendering must not drift.
+#: sparse term map to dense coefficients; rendering must not drift. The
+#: verify report's digest was recorded when ``at_most_bundle`` joined it.
 GOLDEN_SHA256 = {
     "table --max-n 12":
         "5df763832f5923eb62014919fe074e4ce097fc24faeddf9c783ce2dc6a6e1e7a",
@@ -370,6 +391,8 @@ GOLDEN_SHA256 = {
         "3126dc65bdb895bfe99850611f1ef2e63eef80a29580babe22c4b9a15adefade",
     "class --n 20 --projective-full --format latex":
         "7015456b30147b2692dd74cfdbaa2f2a40d735680549b05aff492a6b1a2e0fb1",
+    "verify --max-n 3 --primes 3 5 --format json":
+        "f476034bcc3ffc7e049adbde971662f4b3365f1e46e66b32769021e8eec75923",
 }
 
 

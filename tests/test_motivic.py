@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from symrank import ffield, motivic
@@ -42,6 +40,15 @@ class TestClassExact:
             for k in range(0, n + 1):
                 terms = motivic.class_exact(n, k).value.terms()
                 assert min(terms, default=0) >= 0
+
+    def test_closed_form_route(self):
+        for n in range(0, 9):
+            for k in range(0, n + 1):
+                via_route = motivic.class_exact(n, k, route="closed-form")
+                assert via_route == motivic.closed_form(n, k)
+                assert via_route.route == "closed-form"
+        with pytest.raises(ValueError, match="unknown route"):
+            motivic.class_exact(2, 1, route="guess")
 
     def test_route_tag(self):
         assert motivic.class_exact(2, 2).route == "recursion"
@@ -99,6 +106,9 @@ def test_routes_agree_for_at_most_and_range():
         motivic.class_at_most(3, 1, route="guess")
     with pytest.raises(ValueError, match="unknown route"):
         motivic.class_range(3, 1, 2, route="guess")
+    # The route is checked even when no rank is covered.
+    with pytest.raises(ValueError, match="unknown route"):
+        motivic.class_at_most(3, -2, route="guess")
 
 
 class TestClosedForm:
@@ -214,6 +224,16 @@ class TestDescriptorsAndJson:
         with pytest.raises(ValueError):
             VarietyDescriptor(3, "bogus", 1)
 
+    def test_ranks_are_clipped_to_size(self):
+        assert list(VarietyDescriptor.exact(3, 2).ranks()) == [2]
+        assert list(VarietyDescriptor.exact(3, 5).ranks()) == []
+        assert list(VarietyDescriptor.exact(3, -1).ranks()) == []
+        assert list(VarietyDescriptor.at_most(3, -2).ranks()) == []
+        assert list(VarietyDescriptor.at_most(2, 9).ranks()) == [0, 1, 2]
+        assert list(VarietyDescriptor.rank_range(3, -1, 2).ranks()) == [0, 1, 2]
+        assert list(VarietyDescriptor.rank_range(3, 2, 7).ranks()) == [2, 3]
+        assert list(VarietyDescriptor.projective_full(3).ranks()) == [3]
+
     def test_json_schema(self):
         cls = motivic.class_exact(2, 2)
         assert cls.to_json_dict() == {
@@ -226,8 +246,6 @@ class TestDescriptorsAndJson:
         assert ranged.to_json_dict()["rank"] == {"kind": "range", "k": 1, "l": 2}
         proj = motivic.projective_full_rank(2)
         assert proj.to_json_dict()["rank"] == {"kind": "projective_full", "k": 2}
-        # serialized form parses back to the same dict
-        assert json.loads(cls.to_json()) == cls.to_json_dict()
 
     def test_latex(self):
         assert motivic.class_exact(2, 2).value.latex() == "L^{3} - L^{2}"

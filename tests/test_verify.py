@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
-from symrank import ffield, verify
+from symrank import ffield, motivic, verify
 from symrank.ffield import OddPrimeRequired
+from symrank.laurent import L
 
 
 def entry_counts(report):
@@ -14,9 +15,10 @@ def entry_counts(report):
 class TestFormulaVsRecursion:
     def test_small_grid_all_pass(self):
         report = verify.verify_formula_vs_recursion(2)
-        # class checks: 1 + 2 + 3; sum checks: 3; product checks: 2
-        assert len(report.results) == 6 + 3 + 2
-        assert entry_counts(report) == {"pass": 11, "fail": 0, "skipped": 0}
+        # class checks: 1 + 2 + 3; sum checks: 3; product checks: 2;
+        # bundle checks: 1, at (n, k) = (2, 1)
+        assert len(report.results) == 6 + 3 + 2 + 1
+        assert entry_counts(report) == {"pass": 12, "fail": 0, "skipped": 0}
 
     def test_max_n_zero(self):
         report = verify.verify_formula_vs_recursion(0)
@@ -25,6 +27,26 @@ class TestFormulaVsRecursion:
     def test_full_depth(self):
         report = verify.verify_formula_vs_recursion(12)
         assert not report.has_failures
+
+    def test_bundle_fault_fails_only_at_most_bundle(self, monkeypatch):
+        class_at_most = motivic.class_at_most
+
+        def wrong_at_3_1(n, k, route=motivic.ROUTE_RECURSION):
+            c = class_at_most(n, k, route)
+            if (n, k) == (3, 1):
+                return motivic.MotivicClass(c.descriptor, c.value + 1, c.route)
+            return c
+
+        monkeypatch.setattr(motivic, "class_at_most", wrong_at_3_1)
+        report = verify.verify_formula_vs_recursion(4)
+        failed = {r.check_id for r in report.results if r.status == "fail"}
+        assert failed == {"at_most_bundle"}
+        families = {r.check_id for r in report.results}
+        assert families - failed == {
+            "closed_form_equals_recursion",
+            "strata_sum_to_affine_space",
+            "full_rank_product_equals_recursion",
+        }
 
 
 class TestPointCounts:
@@ -87,6 +109,20 @@ class TestProjective:
         counts = [r for r in report.results if r.check_id == "projective_count"]
         assert len(counts) == 12
         assert [r.status for r in counts] == ["pass"] * 4 + ["skipped"] * 8
+
+    def test_only_nonzero_remainder_is_a_failure(self, monkeypatch):
+        def patch_value(value):
+            cls = motivic.MotivicClass(motivic.VarietyDescriptor.exact(1, 1), value, "recursion")
+            monkeypatch.setattr(motivic, "class_exact", lambda n, k: cls)
+
+        patch_value(L)  # not divisible by L - 1
+        result = verify.verify_projective(1, [3], budget=0).results[0]
+        assert result.status == "fail"
+        assert result.actual.startswith("NonzeroRemainder: ")
+        # A broken class is a program error, not a failed check.
+        patch_value(None)
+        with pytest.raises(AttributeError):
+            verify.verify_projective(1, [3], budget=0)
 
     def test_trivial_projective_point(self):
         report = verify.verify_projective(1, [3])
