@@ -391,6 +391,8 @@ GOLDEN_SHA256 = {
         "3126dc65bdb895bfe99850611f1ef2e63eef80a29580babe22c4b9a15adefade",
     "class --n 20 --projective-full --format latex":
         "7015456b30147b2692dd74cfdbaa2f2a40d735680549b05aff492a6b1a2e0fb1",
+    "fibers --n 3 --p 13 --format csv":
+        "b6cf0b547c556418e95369fed2255b741641b1d7b9ab0868ce8798f1cf29bdab",
     "verify --max-n 3 --primes 3 5 --format json":
         "f476034bcc3ffc7e049adbde971662f4b3365f1e46e66b32769021e8eec75923",
 }

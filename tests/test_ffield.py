@@ -132,6 +132,15 @@ class TestRank:
         for m, r in zip(mats, batched):
             assert r == reference.rank(m, field)
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_batched_leaves_input_unchanged(self, dtype):
+        field = PrimeField(7)
+        dense = _dense_batch(np.arange(7**6, dtype=np.int64), 3, 7).astype(dtype)
+        before = dense.copy()
+        _batched_rank(dense, field)
+        assert dense.dtype == dtype
+        assert np.array_equal(dense, before)
+
     def test_batched_edge_cases(self):
         field = PrimeField(5)
         sizes = _batched_rank(_dense_batch(np.arange(4, dtype=np.int64), 0, 5), field)
@@ -141,7 +150,8 @@ class TestRank:
 
 
 class TestBorderedKernel:
-    @pytest.mark.parametrize("n,p", [(0, 5), (1, 97), (2, 13), (3, 5), (4, 3)])
+    # (2, 97) is the largest field, where int16 elimination is tightest.
+    @pytest.mark.parametrize("n,p", [(0, 5), (1, 97), (2, 13), (2, 97), (3, 5), (4, 3)])
     def test_matches_batched_matrix_for_matrix(self, n, p):
         field = PrimeField(p)
         idx = np.arange(p ** (n * (n + 1) // 2), dtype=np.int64)
@@ -222,14 +232,38 @@ class TestFiberCensus:
                     expected[(r, s)] = per_minor * n_r
         assert census.table == expected
 
+    @pytest.mark.parametrize("chunk", [7, 1, 100])
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 5)])
-    def test_chunk_boundaries_inside_minor_runs(self, n, p, monkeypatch):
-        # A chunk size that does not divide p^n splits runs of completions
-        # that share one minor across chunks.
+    def test_chunk_boundaries_inside_minor_runs(self, n, p, chunk, monkeypatch):
+        # 7 and 1 split each minor's p^n completions across chunks (1 down
+        # to one matrix per chunk); 100 groups 3 whole minors per chunk at
+        # (3, 3) and 4 at (2, 5), where the last group is short.
         field = PrimeField(p)
         whole = ffield.fiber_census(n, field)
-        monkeypatch.setattr(ffield, "_CHUNK", 7)
+        monkeypatch.setattr(ffield, "_CHUNK", chunk)
         assert ffield.fiber_census(n, field) == whole
+
+    @pytest.mark.parametrize("chunk", [None, 7, 1, 100])
+    def test_batches_bounded_by_chunk(self, chunk, monkeypatch):
+        # The budget bounds memory as well as visits: no batch the census
+        # ranks, of completions or of minors, holds more than _CHUNK
+        # matrices, in spaces larger than _CHUNK.
+        shapes = [(3, 7), (2, 97)] if chunk is None else [(3, 3), (2, 5)]
+        if chunk is not None:
+            monkeypatch.setattr(ffield, "_CHUNK", chunk)
+        batched_rank = ffield._batched_rank
+        sizes = []
+
+        def recording(dense, field):
+            sizes.append(dense.shape[2])
+            return batched_rank(dense, field)
+
+        monkeypatch.setattr(ffield, "_batched_rank", recording)
+        for n, p in shapes:
+            total = p ** (n * (n + 1) // 2)
+            assert total > ffield._CHUNK
+            assert sum(ffield.fiber_census(n, PrimeField(p)).table.values()) == total
+        assert max(sizes) <= ffield._CHUNK
 
     def test_marginals(self):
         field = PrimeField(3)
