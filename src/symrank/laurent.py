@@ -13,11 +13,19 @@ zero at either end (zero is the empty tuple at 0). Starting at the
 valuation, not at L^0, halves classes like [60, 60] (L^930 to L^1830).
 The form is canonical, so two polynomials are equal iff their
 valuations and tuples are equal.
+
+Every factor the classes are built from has the shape L^a (L^m - 1).
+Multiplying or dividing by such a binomial takes a shifted pass over
+slices, with no Python loop over coefficients: the product is the
+operand shifted by m minus itself, and the quotient is a running sum in
+each residue class mod m. Every other operand takes schoolbook
+multiplication or long division.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from itertools import accumulate
+from operator import add, neg, sub
 from typing import Mapping
 
 
@@ -116,10 +124,18 @@ class LaurentPolynomial:
             return ZERO
         if len(a) > len(b):
             a, b = b, a
+        lo = self._lo + other._lo
+        m = _binomial_degree(a)
+        if m:
+            # b * (L^m - 1): b shifted up by m, minus b. The ends are
+            # -b[0] and b[-1], both nonzero.
+            out = [0] * m + list(b)
+            out[: len(b)] = map(sub, out[: len(b)], b)
+            return _canonical(lo, tuple(out))
         # Schoolbook, one row per nonzero coefficient of the shorter
         # operand. Z is a domain, so the end coefficients stay nonzero.
-        # Rows for +-1 skip the scaling: the classes are built from
-        # factors like L^a - L^b, and this halves their cost.
+        # Rows for +-1 skip the scaling: a monomial L^a, the other
+        # common factor, is one such row.
         width = len(b)
         out = [0] * (len(a) + width - 1)
         for i, c in enumerate(a):
@@ -129,7 +145,7 @@ class LaurentPolynomial:
                 out[i : i + width] = map(sub, out[i : i + width], b)
             elif c:
                 out[i : i + width] = map(add, out[i : i + width], map(c.__mul__, b))
-        return _canonical(self._lo + other._lo, tuple(out))
+        return _canonical(lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -166,16 +182,30 @@ class LaurentPolynomial:
         lo = self._lo - divisor._lo
         if lo < 0:
             raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
-        # With the valuations set aside, both tuples start at a nonzero
-        # constant term, so this is ordinary long division.
         num = list(self._coeffs)
         den = divisor._coeffs
         top = len(den) - 1
-        lead = den[top]
-        rest = [(i, c) for i, c in enumerate(den[:top]) if c]
         size = len(num) - top
         if size <= 0:
             raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
+        m = _binomial_degree(den)
+        if m:
+            # q * (L^m - 1) == num means q_j = q_(j-m) - num_j, so within
+            # each residue class mod m q is the running sum of -num. The
+            # last sum of each class lies past the quotient's top (index
+            # size or above), where q must vanish; a class starting there
+            # has that one entry, so only the first min(m, size) classes
+            # need summing.
+            quot = list(map(neg, num))
+            for r in range(min(m, size)):
+                quot[r::m] = accumulate(quot[r::m])
+            if any(quot[size:]):
+                raise NonzeroRemainder(f"{self} is not divisible by {divisor}")
+            return _canonical(lo, tuple(quot[:size]))
+        # With the valuations set aside, both tuples start at a nonzero
+        # constant term, so this is ordinary long division.
+        lead = den[top]
+        rest = [(i, c) for i, c in enumerate(den[:top]) if c]
         quot = [0] * size
         for shift in range(size - 1, -1, -1):
             t = num[shift + top]
@@ -280,6 +310,14 @@ def _stripped(lo: int, coeffs: list[int]) -> LaurentPolynomial:
     while start < hi and not coeffs[start]:
         start += 1
     return _canonical(lo + start, tuple(coeffs[start:hi]))
+
+
+def _binomial_degree(coeffs: tuple[int, ...]) -> int:
+    """m if ``coeffs`` is (-1, 0, ..., 0, 1), the tuple of L^m - 1, else 0."""
+    m = len(coeffs) - 1
+    if m and coeffs[0] == -1 and coeffs[m] == 1 and not any(coeffs[1:m]):
+        return m
+    return 0
 
 
 def _coerce(value: object) -> LaurentPolynomial:

@@ -221,9 +221,16 @@ def closed_form(n: int, k: int) -> MotivicClass:
 
     The numerator multiplies the factors L^(2i) for 1 <= i <= floor(k/2)
     and (L^(n-i) - 1) for 0 <= i < k; the denominator is the product of
-    the (L^(2i) - 1). The quotient is taken by a single exact division at
-    the end, so the result is guaranteed to be an honest polynomial --
-    a nonzero remainder would mean the formula is mistranscribed.
+    the (L^(2i) - 1). The quotient is built one factor at a time: start
+    from L^s, the product of the L^(2i), multiply by the (L^(n-i) - 1) in
+    turn, and after the first 2j of them divide exactly by (L^(2j) - 1).
+    Each division is exact because the running value is then L^s times
+    the first 2j numerator binomials over the first j denominator ones,
+    which is closed_form(n, 2j) / L^(j(j+1)), a polynomial. Every divisor
+    is monic, so quotients are unique and the result is the one a single
+    division at the end would give; a nonzero remainder would mean the
+    formula is mistranscribed. Dividing as the product grows keeps every
+    intermediate at the size of a class, not of the whole numerator.
 
     >>> closed_form(3, 1).value
     LaurentPolynomial('L^3 - 1')
@@ -231,16 +238,13 @@ def closed_form(n: int, k: int) -> MotivicClass:
     descriptor = VarietyDescriptor.exact(n, k)
     if k < 0 or k > n:
         return MotivicClass(descriptor, ZERO, ROUTE_CLOSED_FORM)
-    if k == 0:
-        return MotivicClass(descriptor, ONE, ROUTE_CLOSED_FORM)
-    numerator = ONE
-    denominator = ONE
-    for i in range(1, k // 2 + 1):
-        numerator = numerator * monomial(1, 2 * i)
-        denominator = denominator * (monomial(1, 2 * i) - 1)
+    half = k // 2
+    value = monomial(1, half * (half + 1))
     for i in range(0, k):
-        numerator = numerator * (monomial(1, n - i) - 1)
-    return MotivicClass(descriptor, numerator.div_exact(denominator), ROUTE_CLOSED_FORM)
+        value = value * (monomial(1, n - i) - 1)
+        if i % 2:
+            value = value.div_exact(monomial(1, i + 1) - 1)
+    return MotivicClass(descriptor, value, ROUTE_CLOSED_FORM)
 
 
 def full_rank_product(n: int) -> MotivicClass:

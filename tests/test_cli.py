@@ -338,6 +338,22 @@ class TestVerifyCommand:
         assert payload["config"]["primes"] == [3]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "class --n 2 --k 1 --route guess",
+        "table --max-n 3 --route guess",
+        "count --n 2 --k 1 --q 3 --route guess",
+        "decompose --n -1 --k 0",
+    ],
+)
+def test_bad_argument_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("error: ", "usage: "))
+
+
 def test_budget_env_var(capsys, monkeypatch):
     argv = ("count", "--n", "3", "--k", "3", "--q", "3", "--brute-force")
     monkeypatch.setenv("SYMRANK_BUDGET", "100")
@@ -377,7 +393,9 @@ def test_module_entry_point():
 
 #: SHA-256 of stdout, recorded before the polynomial type moved from a
 #: sparse term map to dense coefficients; rendering must not drift. The
-#: verify report's digest was recorded when ``at_most_bundle`` joined it.
+#: verify report's digest was recorded when ``at_most_bundle`` joined it,
+#: the two n = 30 / 60 closed-form digests while that route still took a
+#: single long division.
 GOLDEN_SHA256 = {
     "table --max-n 12":
         "5df763832f5923eb62014919fe074e4ce097fc24faeddf9c783ce2dc6a6e1e7a",
@@ -389,6 +407,10 @@ GOLDEN_SHA256 = {
         "1e7f336e144a576bd3b407f9c767cd981e3e0755dd74dc6b4b35d68d47d2a343",
     "class --n 20 --range 3 9 --route closed-form --format json":
         "3126dc65bdb895bfe99850611f1ef2e63eef80a29580babe22c4b9a15adefade",
+    "table --max-n 30 --route closed-form --format csv":
+        "05900d8424ac6b12369f97d40867737610d7e4b8787d205a8e1bdcb6dc645cf3",
+    "class --n 60 --range 20 40 --route closed-form --format json":
+        "cda16d37bc991c95069a69c375802f33afca3a43ddc3a5e8bc8b49738164c95b",
     "class --n 20 --projective-full --format latex":
         "7015456b30147b2692dd74cfdbaa2f2a40d735680549b05aff492a6b1a2e0fb1",
     "fibers --n 3 --p 13 --format csv":

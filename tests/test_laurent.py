@@ -167,3 +167,63 @@ def test_pow():
     assert (L - 1) ** 2 == L**2 - 2 * L + 1
     with pytest.raises(ValueError):
         (L - 1) ** -1
+
+
+def binomial(a: int, m: int) -> LaurentPolynomial:
+    """L^a (L^m - 1), built from monomials."""
+    return monomial(1, a + m) - monomial(1, a)
+
+
+def test_binomial_product_is_shift_minus_operand():
+    rng = random.Random(1010)
+    for m in range(1, 61):
+        for a in range(4):
+            p = random_poly(rng)
+            product = p * binomial(a, m)
+            # Products with a monomial take the schoolbook path.
+            assert product == p * monomial(1, a + m) - p * monomial(1, a)
+            assert binomial(a, m) * p == product
+            for x in EVAL_POINTS:
+                assert product.eval_int(x) == p.eval_int(x) * (x ** (a + m) - x**a)
+
+
+def test_binomial_division_round_trip_and_remainders():
+    rng = random.Random(2020)
+    for m in range(1, 61):
+        for a in range(4):
+            b = binomial(a, m)
+            p = random_poly(rng)
+            assert (p * b).div_exact(b) == p
+            # A nonzero remainder of degree below b's.
+            r = LaurentPolynomial({rng.randrange(a + m): rng.choice((-2, -1, 1, 3))})
+            with pytest.raises(NonzeroRemainder):
+                (p * b + r).div_exact(b)
+            if not p.is_zero():
+                # p moved to valuation 0: the quotient p / L needs L^-1.
+                low = min(p.terms())
+                p0 = LaurentPolynomial({e - low: c for e, c in p.terms().items()})
+                with pytest.raises(NonzeroRemainder):
+                    (p0 * b).div_exact(b * L)
+
+
+def test_binomial_division_refuses_short_and_misaligned_numerators():
+    b = L**5 - 1
+    for num in (L**4 - 1, L**5, L**5 - 2, L**10 - L**5 + 1, 2 * L**5 - 2 + L):
+        with pytest.raises(NonzeroRemainder):
+            num.div_exact(b)
+    assert (L**10 - 1).div_exact(b) == L**5 + 1
+    assert (L**7 - L**2).div_exact(L**2 * b) == ONE
+
+
+def test_binomial_and_general_division_agree():
+    rng = random.Random(3030)
+    for m in range(1, 61):
+        b = L**m - 1
+        # Neither 1 - L^m nor 2 (L^m - 1) has the binomial's tuple.
+        p = random_poly(rng)
+        num = 2 * p * b
+        assert num.div_exact(b) == 2 * p
+        assert num.div_exact(1 - L**m) == -2 * p
+        assert num.div_exact(2 * b) == p
+        with pytest.raises(NonzeroRemainder):
+            (num + 1).div_exact(1 - L**m)

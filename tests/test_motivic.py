@@ -130,6 +130,12 @@ class TestClosedForm:
         for n, k in ((16, 16), (16, 9), (14, 7)):
             assert motivic.closed_form(n, k).value == motivic.class_exact(n, k).value
 
+    def test_agrees_with_recursion_at_n40_and_n60(self):
+        cases = [(40, k) for k in range(0, 41)]
+        cases += [(60, k) for k in (1, 2, 29, 30, 59, 60)]
+        for n, k in cases:
+            assert motivic.closed_form(n, k).value == motivic.class_exact(n, k).value
+
 
 class TestFullRankProduct:
     def test_examples(self):
