@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: class, table, count, fibers, decompose, verify. All output
-is deterministic (identical invocations produce identical bytes) and is
-emitted from a single writer after computation finishes.
+is deterministic (identical invocations produce identical bytes) and
+starts only after computation finishes. Class and table JSON is rendered
+from each class's parts (:meth:`motivic.MotivicClass.to_json`), and the
+table writes it row by row; the other JSON goes through ``json.dumps``.
 
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal. The enumeration budget defaults to the library's cap and can be
@@ -65,21 +67,24 @@ def _class_from_args(args) -> motivic.MotivicClass:
     if n < 0:
         raise UsageError(f"--n must be >= 0, got {n}")
     if args.projective_full:
+        if args.route is not None:
+            raise UsageError("--route does not apply to --projective-full")
         if n < 1:
             raise UsageError(f"--projective-full needs --n >= 1, got {n}")
         return motivic.projective_full_rank(n)
+    route = args.route or motivic.ROUTE_RECURSION
     if args.range is not None:
         k, l = args.range
-        return motivic.class_range(n, k, l, route=args.route)
+        return motivic.class_range(n, k, l, route=route)
     if args.at_most is not None:
-        return motivic.class_at_most(n, args.at_most, route=args.route)
-    return motivic.class_exact(n, args.k, args.route)
+        return motivic.class_at_most(n, args.at_most, route=route)
+    return motivic.class_exact(n, args.k, route)
 
 
 def cmd_class(args) -> int:
     cls = _class_from_args(args)
     if args.format == "json":
-        print(json.dumps(cls.to_json_dict(), indent=2))
+        print(cls.to_json())
     elif args.format == "latex":
         print(cls.value.latex())
     else:
@@ -96,7 +101,13 @@ def cmd_table(args) -> int:
         for k in range(0, n + 1)
     ]
     if args.format == "json":
-        print(json.dumps([c.to_json_dict() for _, _, c in rows], indent=2))
+        out = sys.stdout
+        out.write("[\n")
+        for i, (_, _, c) in enumerate(rows):
+            if i:
+                out.write(",\n")
+            out.write(c.to_json("  "))
+        out.write("\n]\n")
     elif args.format == "csv":
         lines = ["n,k,polynomial"]
         lines += [f"{n},{k},{c.value}" for n, k, c in rows]
@@ -238,7 +249,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p_class = sub.add_parser("class", help="one class as a polynomial in L")
     p_class.add_argument("--n", type=int, required=True, help="matrix size")
     _add_rank_flags(p_class)
-    p_class.add_argument("--route", choices=motivic.ROUTES, default="recursion")
+    p_class.add_argument("--route", choices=motivic.ROUTES)
     p_class.add_argument("--format", choices=["text", "json", "latex"], default="text")
     p_class.set_defaults(func=cmd_class)
 
@@ -257,7 +268,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
         action="store_true",
         help="also enumerate (odd prime q only) and compare",
     )
-    p_count.add_argument("--route", choices=motivic.ROUTES, default="recursion")
+    p_count.add_argument("--route", choices=motivic.ROUTES)
     p_count.add_argument("--budget", type=int, default=default_budget)
     p_count.set_defaults(func=cmd_count)
 

@@ -31,6 +31,7 @@ is semantically invisible.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 
 from .laurent import L, ONE, ZERO, LaurentPolynomial, monomial
@@ -120,13 +121,47 @@ class MotivicClass:
     value: LaurentPolynomial
     route: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.descriptor.n,
-            "rank": self.descriptor.rank_json(),
-            "polynomial": self.value.to_json_dict(),
-            "route": self.route,
+    def to_json(self, pad: str = "") -> str:
+        """The bytes of ``json.dumps`` of the class's JSON object with
+        ``indent=2``, every line prefixed by ``pad``; no trailing newline.
+
+        Built as text because ``json.dumps`` with an indent runs CPython's
+        pure-Python encoder, which costs more than computing the class.
+        Exponents and coefficients are decimal strings and need no escaping.
+
+        >>> print(class_exact(1, 1).to_json())
+        {
+          "n": 1,
+          "rank": {
+            "kind": "exact",
+            "k": 1
+          },
+          "polynomial": {
+            "1": "1",
+            "0": "-1"
+          },
+          "route": "recursion"
         }
+        """
+        inner = f"\n{pad}    "
+        rank = f",{inner}".join(
+            f"{json.dumps(key)}: {json.dumps(value)}"
+            for key, value in self.descriptor.rank_json().items()
+        )
+        terms = self.value.to_json_dict()
+        if terms:
+            body = f",{inner}".join(f'"{exp}": "{coeff}"' for exp, coeff in terms.items())
+            polynomial = f"{{{inner}{body}\n{pad}  }}"
+        else:
+            polynomial = "{}"
+        return (
+            f"{pad}{{\n"
+            f'{pad}  "n": {self.descriptor.n},\n'
+            f'{pad}  "rank": {{{inner}{rank}\n{pad}  }},\n'
+            f'{pad}  "polynomial": {polynomial},\n'
+            f'{pad}  "route": {json.dumps(self.route)}\n'
+            f"{pad}}}"
+        )
 
 
 @dataclass(frozen=True)

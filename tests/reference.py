@@ -1,8 +1,10 @@
-"""Scalar reference oracle for the batched rank kernels.
+"""Reference implementations the tests compare the package against.
 
 A symmetric matrix type over packed upper triangles and a one-matrix
 Gaussian elimination, kept apart from ``symrank.ffield`` so that the
-tests compare both vectorized kernels against code they do not share.
+tests compare both vectorized kernels against code they do not share;
+and the JSON object of a class, which ``json.dumps`` renders as the
+bytes ``MotivicClass.to_json`` must reproduce.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from symrank.ffield import PrimeField
+from symrank.motivic import MotivicClass
 
 
 def _triangle(n: int) -> int:
@@ -92,3 +95,13 @@ def rank(m: SymMatrix, field: PrimeField) -> int:
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         r += 1
     return r
+
+
+def class_json_dict(c: MotivicClass) -> dict:
+    """The JSON object of a class: size, rank condition, polynomial, route."""
+    return {
+        "n": c.descriptor.n,
+        "rank": c.descriptor.rank_json(),
+        "polynomial": c.value.to_json_dict(),
+        "route": c.route,
+    }

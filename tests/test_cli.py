@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from reference import class_json_dict
 from symrank import ffield, motivic, verify
 from symrank.cli import main
 
@@ -89,6 +90,16 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "--max-n", "1", "--format", "csv")
         assert code == 0
         assert out == "n,k,polynomial\n0,0,1\n1,0,1\n1,1,L - 1\n"
+
+    @pytest.mark.parametrize("route", motivic.ROUTES)
+    def test_json_rows_are_class_objects(self, capsys, route):
+        code, out, _ = run(capsys, "table", "--max-n", "12", "--route", route, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [
+            class_json_dict(motivic.class_exact(n, k, route))
+            for n in range(13)
+            for k in range(n + 1)
+        ]
 
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "table", "--max-n", "3", "--format", "latex")
@@ -345,6 +356,8 @@ class TestVerifyCommand:
         "table --max-n 3 --route guess",
         "count --n 2 --k 1 --q 3 --route guess",
         "decompose --n -1 --k 0",
+        "class --n 3 --projective-full --route closed-form",
+        "count --n 2 --projective-full --q 5 --route recursion",
     ],
 )
 def test_bad_argument_is_usage_error(capsys, argv):
@@ -395,7 +408,8 @@ def test_module_entry_point():
 #: sparse term map to dense coefficients; rendering must not drift. The
 #: verify report's digest was recorded when ``at_most_bundle`` joined it,
 #: the two n = 30 / 60 closed-form digests while that route still took a
-#: single long division.
+#: single long division, the n = 20 tables and the other three class JSON
+#: digests while ``json.dumps`` still rendered class JSON.
 GOLDEN_SHA256 = {
     "table --max-n 12":
         "5df763832f5923eb62014919fe074e4ce097fc24faeddf9c783ce2dc6a6e1e7a",
@@ -417,6 +431,16 @@ GOLDEN_SHA256 = {
         "b6cf0b547c556418e95369fed2255b741641b1d7b9ab0868ce8798f1cf29bdab",
     "verify --max-n 3 --primes 3 5 --format json":
         "f476034bcc3ffc7e049adbde971662f4b3365f1e46e66b32769021e8eec75923",
+    "table --max-n 20 --format json":
+        "a1e389ac6748a01f3c4e0a70710c4d3bbe2d72e94d61a82ca0417617da8a5b9e",
+    "table --max-n 20 --route closed-form --format json":
+        "a2f3e6a244df8150f51de41f704db049e7f4a76fa6a265fff612692e5a4000ac",
+    "class --n 3 --at-most -1 --format json":
+        "21cce0e40a2c13eef53030b1265e2089a27a9169b73f72402a090490da6047b3",
+    "class --n 7 --projective-full --format json":
+        "48eee9081b27bd0b909e0d7f9bd310ea0212f1f42ac1f4eda31823ee3cf41513",
+    "class --n 60 --at-most 59 --format json":
+        "4761f2b0242c9b9f5402788dbf002850426fca606c94b6c3d2ff96d583acc446",
 }
 
 

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from reference import class_json_dict
 from symrank import ffield, motivic
 from symrank.laurent import L, ONE, ZERO, monomial
 from symrank.motivic import (
@@ -242,16 +245,36 @@ class TestDescriptorsAndJson:
 
     def test_json_schema(self):
         cls = motivic.class_exact(2, 2)
-        assert cls.to_json_dict() == {
+        assert json.loads(cls.to_json()) == {
             "n": 2,
             "rank": {"kind": "exact", "k": 2},
             "polynomial": {"3": "1", "2": "-1"},
             "route": "recursion",
         }
         ranged = motivic.class_range(2, 1, 2)
-        assert ranged.to_json_dict()["rank"] == {"kind": "range", "k": 1, "l": 2}
+        assert json.loads(ranged.to_json())["rank"] == {"kind": "range", "k": 1, "l": 2}
         proj = motivic.projective_full_rank(2)
-        assert proj.to_json_dict()["rank"] == {"kind": "projective_full", "k": 2}
+        assert json.loads(proj.to_json())["rank"] == {"kind": "projective_full", "k": 2}
+
+    @pytest.mark.parametrize("pad", ["", "  "])
+    @pytest.mark.parametrize("route", motivic.ROUTES)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda route: motivic.class_exact(6, 3, route),
+            lambda route: motivic.class_at_most(6, 4, route),
+            lambda route: motivic.class_range(9, 2, 5, route),
+            lambda route: motivic.class_exact(3, 5, route),
+            lambda route: motivic.class_at_most(3, -1, route),
+            lambda route: motivic.projective_full_rank(5),
+        ],
+        ids=["exact", "at_most", "range", "zero_exact", "zero_at_most", "projective_full"],
+    )
+    def test_json_text_is_json_dumps(self, make, route, pad):
+        cls = make(route)
+        expected = json.dumps(class_json_dict(cls), indent=2)
+        expected = "\n".join(pad + line for line in expected.split("\n"))
+        assert cls.to_json(pad) == expected
 
     def test_latex(self):
         assert motivic.class_exact(2, 2).value.latex() == "L^{3} - L^{2}"
