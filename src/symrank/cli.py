@@ -109,14 +109,14 @@ def cmd_table(args) -> int:
             out.write(c.to_json("  "))
         out.write("\n]\n")
     elif args.format == "csv":
-        lines = ["n,k,polynomial"]
-        lines += [f"{n},{k},{c.value}" for n, k, c in rows]
-        print("\n".join(lines))
+        print("n,k,polynomial")
+        for n, k, c in rows:
+            print(f"{n},{k},{c.value}")
     elif args.format == "latex":
-        lines = [r"\begin{tabular}{rrl}", r"$n$ & $k$ & class \\", r"\hline"]
-        lines += [rf"{n} & {k} & ${c.value.latex()}$ \\" for n, k, c in rows]
-        lines.append(r"\end{tabular}")
-        print("\n".join(lines))
+        print(r"\begin{tabular}{rrl}", r"$n$ & $k$ & class \\", r"\hline", sep="\n")
+        for n, k, c in rows:
+            print(rf"{n} & {k} & ${c.value.latex()}$ \\")
+        print(r"\end{tabular}")
     else:
         for n, k, c in rows:
             print(f"({n},{k}): {c.value}")

@@ -100,10 +100,6 @@ def _counting_grid(ns, fields, budget: int, check_ids, results: list[CheckResult
             yield n, f, params
 
 
-def _validate_primes(primes) -> list[ffield.PrimeField]:
-    return [ffield.PrimeField(p) for p in primes]
-
-
 #: Rank histograms already enumerated, by (n, p).
 Histograms = dict[tuple[int, int], ffield.RankHistogram]
 
@@ -183,7 +179,7 @@ def verify_point_counts(
     """Exhaustive rank histograms against the polynomial values at L = p
     for every in-budget (n, p). Histograms found in ``histograms`` are
     reused and new ones are added to it."""
-    fields = _validate_primes(primes)
+    fields = [ffield.PrimeField(p) for p in primes]
     histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
     checks = ("point_count_histogram",)
@@ -211,7 +207,7 @@ def verify_fibers(
     marginals compare two independent walks and two rank kernels; the
     histograms come from (and go to) ``histograms``.
     """
-    fields = _validate_primes(primes)
+    fields = [ffield.PrimeField(p) for p in primes]
     histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
     checks = ("fiber_buckets", "fiber_marginals")
@@ -253,7 +249,7 @@ def verify_projective(
     """(L - 1) divides the full-rank class symbolically for every n, and
     the quotient evaluated at p matches the enumerated projective count
     for every in-budget (n, p), read off the (shared) histogram."""
-    fields = _validate_primes(primes)
+    fields = [ffield.PrimeField(p) for p in primes]
     histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
     for n in range(1, max_n + 1):

@@ -1,5 +1,8 @@
+import ast
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,32 @@ class TestRank:
         assert empty.shape == (0,)
 
 
+class TestMinorGroups:
+    # (0, 1, 3) is the census at n = 1 (no minor); p^width is below every
+    # span but 1 at (1, 1, 5), above 7 and 100 at (1, 3, 7), and above
+    # _CHUNK at (0, 3, 97).
+    @pytest.mark.parametrize(
+        "k,width,p,span",
+        [
+            (k, width, p, span)
+            for k, width, p in [(0, 1, 3), (0, 0, 5), (1, 1, 5), (2, 2, 3), (1, 3, 7)]
+            for span in [1, 7, 100, 1 << 16]
+        ]
+        + [(0, 3, 97, 1 << 16)],
+    )
+    def test_visits_every_matrix_once_in_packed_order(self, k, width, p, span):
+        rows = p**width
+        weights = p ** np.arange(width, dtype=np.int64)
+        visited, sizes = [], []
+        for minors, slices in ffield._minor_groups(k, width, span, p):
+            for table in slices:
+                visited.append((minors[:, None] * rows + weights @ table).ravel())
+                sizes.append(len(minors) * table.shape[1])
+        total = p ** (k * (k + 1) // 2 + width)
+        assert np.array_equal(np.concatenate(visited), np.arange(total))
+        assert max(sizes) <= span
+
+
 class TestBorderedKernel:
     # (2, 97) is the largest field, where int16 elimination is tightest.
     @pytest.mark.parametrize("n,p", [(0, 5), (1, 97), (2, 13), (2, 97), (3, 5), (4, 3)])
@@ -259,11 +288,23 @@ class TestFiberCensus:
             return batched_rank(dense, field)
 
         monkeypatch.setattr(ffield, "_batched_rank", recording)
+        # The histogram kernel's chunks hold at most max(_CHUNK, p).
+        bordered_rank_chunks = ffield._bordered_rank_chunks
+        chunk_sizes = []
+
+        def recording_chunks(n, field):
+            for ranks in bordered_rank_chunks(n, field):
+                chunk_sizes.append((ranks.size, field.p))
+                yield ranks
+
+        monkeypatch.setattr(ffield, "_bordered_rank_chunks", recording_chunks)
         for n, p in shapes:
             total = p ** (n * (n + 1) // 2)
             assert total > ffield._CHUNK
             assert sum(ffield.fiber_census(n, PrimeField(p)).table.values()) == total
+            assert sum(ffield.enumerate_rank_counts(n, PrimeField(p)).counts) == total
         assert max(sizes) <= ffield._CHUNK
+        assert all(size <= max(ffield._CHUNK, p) for size, p in chunk_sizes)
 
     def test_marginals(self):
         field = PrimeField(3)
@@ -284,3 +325,15 @@ class TestProjectiveCount:
         assert ffield.projective_count(2, PrimeField(3)) == 9
         assert ffield.projective_count(2, PrimeField(5)) == 25
 
+
+def test_oracle_imports_only_stdlib_and_numpy():
+    # The oracle stays independent of the symbolic layer it falsifies.
+    tree = ast.parse(Path(ffield.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import of {node.module!r}"
+            modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert {m.split(".")[0] for m in modules} <= sys.stdlib_module_names | {"numpy"}
