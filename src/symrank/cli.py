@@ -7,8 +7,10 @@ from each class's parts (:meth:`motivic.MotivicClass.to_json`), and the
 table writes it row by row; the other JSON goes through ``json.dumps``.
 
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 budget
-refusal. The enumeration budget defaults to the library's cap and can be
-raised with --budget or the SYMRANK_BUDGET environment variable.
+refusal. Only the commands that enumerate (count --brute-force, fibers,
+verify) read the budget: --budget if given, else the SYMRANK_BUDGET
+environment variable, else the library default. The oracle rejects a
+budget below 0 or above 2^63 - 1.
 """
 
 from __future__ import annotations
@@ -32,7 +34,11 @@ class UsageError(ValueError):
     pass
 
 
-def _default_budget() -> int:
+def _budget(args) -> int:
+    """--budget if given, else SYMRANK_BUDGET, else the library default;
+    :mod:`ffield` checks its range."""
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return ffield.DEFAULT_BUDGET
@@ -40,14 +46,6 @@ def _default_budget() -> int:
         return int(raw)
     except ValueError:
         raise UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-
-
-def _budget(args) -> int:
-    if args.budget < 0:
-        raise UsageError(f"budget must be >= 0, got {args.budget}")
-    if args.budget > ffield.MAX_BUDGET:
-        raise UsageError(f"budget must be <= {ffield.MAX_BUDGET}, got {args.budget}")
-    return args.budget
 
 
 def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
@@ -236,7 +234,7 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFICATION_FAILURE if report.has_failures else EXIT_OK
 
 
-def build_parser(default_budget: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symrank",
         description=(
@@ -269,14 +267,14 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
         help="also enumerate (odd prime q only) and compare",
     )
     p_count.add_argument("--route", choices=motivic.ROUTES)
-    p_count.add_argument("--budget", type=int, default=default_budget)
+    p_count.add_argument("--budget", type=int)
     p_count.set_defaults(func=cmd_count)
 
     p_fibers = sub.add_parser("fibers", help="(minor rank, full rank) census with verdicts")
     p_fibers.add_argument("--n", type=int, required=True)
     p_fibers.add_argument("--p", type=int, required=True, help="odd prime modulus")
     p_fibers.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_fibers.add_argument("--budget", type=int, default=default_budget)
+    p_fibers.add_argument("--budget", type=int)
     p_fibers.set_defaults(func=cmd_fibers)
 
     p_dec = sub.add_parser("decompose", help="candidate Tate summands of an exact-rank class")
@@ -288,7 +286,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full verification suite")
     p_verify.add_argument("--max-n", type=int, default=None, help="cap both symbolic and counting depth")
     p_verify.add_argument("--primes", type=int, nargs="+", default=list(verify.DEFAULT_PRIMES))
-    p_verify.add_argument("--budget", type=int, default=default_budget)
+    p_verify.add_argument("--budget", type=int)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -297,12 +295,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser(_default_budget())
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -310,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except ffield.BudgetExceeded as exc:
         print(f"error: {exc} (raise it with --budget or {BUDGET_ENV})", file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, ffield.OddPrimeRequired, motivic.InvalidRange) as exc:
+    except (UsageError, ffield.OddPrimeRequired, ffield.InvalidBudget, motivic.InvalidRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

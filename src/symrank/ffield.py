@@ -50,6 +50,10 @@ class NonintegralQuotient(ArithmeticError):
     """A count that must divide evenly did not (implementation bug)."""
 
 
+class InvalidBudget(ValueError):
+    """The budget is below 0 or above :data:`MAX_BUDGET`."""
+
+
 class BudgetExceeded(Exception):
     """An enumeration would visit more matrices than the budget allows."""
 
@@ -93,15 +97,6 @@ class PrimeField:
             assert self.inverse_table[x] * x % p == 1
         self._inv_array = np.array(self.inverse_table, dtype=np.int16)
 
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
 
 def _triangle(n: int) -> int:
     return n * (n + 1) // 2
@@ -110,11 +105,14 @@ def _triangle(n: int) -> int:
 def _space_size(n: int, p: int, budget: int) -> int:
     """The p^(n(n+1)/2) matrices to visit, refused if over ``budget``.
 
-    Raises ``ValueError`` for a budget above :data:`MAX_BUDGET`, whose
-    indices would overflow the int64 arrays.
+    The one check of a budget: raises :class:`InvalidBudget` for one below
+    0, or above :data:`MAX_BUDGET` (its indices would overflow the int64
+    arrays), and :class:`BudgetExceeded` for a larger space.
     """
+    if budget < 0:
+        raise InvalidBudget(f"budget must be >= 0, got {budget}")
     if budget > MAX_BUDGET:
-        raise ValueError(f"budget must be <= {MAX_BUDGET}, got {budget}")
+        raise InvalidBudget(f"budget must be <= {MAX_BUDGET}, got {budget}")
     total = p ** _triangle(n)
     if total > budget:
         raise BudgetExceeded(total, budget)
@@ -253,7 +251,8 @@ def _minor_groups(k: int, width: int, span: int, p: int):
     the low packed digits). Yields (minors, slices): the packed indices of
     max(1, span // p^width) whole minors, and, the same for every group,
     slices of at most ``span`` columns of one digit-major table of all the
-    rows (:func:`_decode_digits`). The first group and slice are the largest.
+    rows (:func:`_decode_digits`). A group times a slice is at most ``span``
+    matrices.
     """
     rows = p**width
     table = _decode_digits(np.arange(rows, dtype=np.int64), width, p)
@@ -413,18 +412,18 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
     _space_size(n, p, budget)
     base = n + 1
     acc = np.zeros((n + 1) * base, dtype=np.int64)
-    dense = None  # reused by every chunk; made before any per-group array (fewer page faults)
+    # Reused by every chunk; made before any per-group array (fewer page faults).
+    dense = np.empty((n, n, _CHUNK), dtype=np.int16)
     for minor_idx, row_slices in _minor_groups(n - 1, n, _CHUNK, p):
-        if dense is None:  # the first group and slice are the largest
-            dense = np.empty((n, n, len(minor_idx), row_slices[0].shape[1]), dtype=np.int16)
         minors = _dense_batch(minor_idx, n - 1, p)
         minor_ranks = _batched_rank(minors, field) * base
         for rows in row_slices:
-            batch = dense[:, :, : len(minor_idx), : rows.shape[1]]
+            flat = dense[:, :, : len(minor_idx) * rows.shape[1]]
+            batch = flat.reshape(n, n, len(minor_idx), rows.shape[1])  # a view: fills flat
             batch[0] = rows[:, None, :]
             batch[1:, 0] = rows[1:, None, :]
             batch[1:, 1:] = minors[..., None]
-            ranks = _batched_rank(batch.reshape(n, n, -1), field)
+            ranks = _batched_rank(flat, field)
             acc += np.bincount(np.repeat(minor_ranks, rows.shape[1]) + ranks, minlength=len(acc))
     table: dict[tuple[int, int], int] = {}
     for r in range(n + 1):

@@ -11,7 +11,7 @@ reports on any machine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import ffield, motivic
 from .laurent import L, ZERO, NonzeroRemainder, monomial
@@ -36,16 +36,6 @@ class CheckResult:
     actual: str = ""
     reason: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "params": dict(self.params),
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -67,7 +57,7 @@ class VerificationReport:
         return {
             "config": dict(self.config),
             "summary": self.summary,
-            "results": [r.to_json_dict() for r in self.results],
+            "results": [asdict(r) for r in self.results],
         }
 
     def to_json(self) -> str:
@@ -310,17 +300,13 @@ def run_full_suite(
 
 def summary_table(report: VerificationReport) -> str:
     """Human-readable per-check-family tallies plus failure details."""
-    order: list[str] = []
-    tallies: dict[str, dict[str, int]] = {}
+    tallies: dict[str, dict[str, int]] = {}  # in order of first appearance
     for r in report.results:
-        if r.check_id not in tallies:
-            order.append(r.check_id)
-            tallies[r.check_id] = {STATUS_PASS: 0, STATUS_FAIL: 0, STATUS_SKIPPED: 0}
-        tallies[r.check_id][r.status] += 1
-    width = max([len(c) for c in order] + [len("total")])
+        t = tallies.setdefault(r.check_id, {STATUS_PASS: 0, STATUS_FAIL: 0, STATUS_SKIPPED: 0})
+        t[r.status] += 1
+    width = max([len(c) for c in tallies] + [len("total")])
     lines = [f"{'check':<{width}}  pass  fail  skip"]
-    for check_id in order:
-        t = tallies[check_id]
+    for check_id, t in tallies.items():
         lines.append(
             f"{check_id:<{width}}  {t[STATUS_PASS]:>4}  {t[STATUS_FAIL]:>4}  {t[STATUS_SKIPPED]:>4}"
         )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -381,6 +382,24 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "SYMRANK_BUDGET" in err
+    # Only commands that enumerate read the variable, and --budget wins over it.
+    malformed = "error: SYMRANK_BUDGET must be an integer, got 'not-a-number'\n"
+    assert err == malformed
+    match = "formula: 468\nbrute-force: 468\nverdict: MATCH\n"
+    assert run(capsys, *argv, "--budget", "1000") == (0, match, "")
+    for command in ("fibers --n 2 --p 3", "verify --max-n 1 --primes 3"):
+        assert run(capsys, *command.split()) == (2, "", malformed)
+        assert run(capsys, *command.split(), "--budget", "1000")[0] == 0
+    quiet = (
+        "class --n 3 --k 2",
+        "table --max-n 3",
+        "decompose --n 2 --k 1",
+        "count --n 3 --k 3 --q 3",
+    )
+    with_malformed = [run(capsys, *command.split()) for command in quiet]
+    monkeypatch.delenv("SYMRANK_BUDGET")
+    assert with_malformed == [run(capsys, *command.split()) for command in quiet]
+    assert all(code == 0 and out and not err for code, out, err in with_malformed)
     monkeypatch.setenv("SYMRANK_BUDGET", str(2**63))
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -402,6 +421,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "L^3 - L^2\n"
+    # --help reads no budget, so a malformed SYMRANK_BUDGET cannot break it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "symrank", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "SYMRANK_BUDGET": "not-a-number"},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: symrank")
+    assert proc.stderr == ""
 
 
 #: SHA-256 of stdout, recorded before the polynomial type moved from a

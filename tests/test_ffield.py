@@ -12,6 +12,7 @@ from reference import SymMatrix
 from symrank import ffield
 from symrank.ffield import (
     BudgetExceeded,
+    InvalidBudget,
     OddPrimeRequired,
     PrimeField,
     _batched_rank,
@@ -231,6 +232,14 @@ class TestEnumerateRankCounts:
         ):
             with pytest.raises(ValueError, match="budget must be <="):
                 enumerate_space()
+        # A negative budget is a bad argument, not a refusal of a 3-matrix space.
+        for enumerate_space in (
+            ffield.enumerate_rank_counts,
+            ffield.fiber_census,
+            ffield.projective_count,
+        ):
+            with pytest.raises(InvalidBudget, match="budget must be >= 0"):
+                enumerate_space(1, field, budget=-1)
 
 
 class TestFiberCensus:

@@ -160,6 +160,10 @@ class TestReports:
         assert result.expected == "[1, 2]"
         assert result.actual == "[1, 3]"
 
+    def test_negative_budget_raises(self):
+        with pytest.raises(ffield.InvalidBudget, match="budget must be >= 0, got -1"):
+            verify.run_full_suite(1, 1, [3], -1)
+
     def test_summary_table_format(self):
         report = verify.run_full_suite(1, 1, [3], budget=10**4)
         table = verify.summary_table(report)
