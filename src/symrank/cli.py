@@ -301,7 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ffield.BudgetExceeded as exc:
-        print(f"error: {exc} (raise it with --budget or {BUDGET_ENV})", file=sys.stderr)
+        # An explicit --budget wins over the variable, so only it can help then.
+        hint = "--budget" if args.budget is not None else f"--budget or {BUDGET_ENV}"
+        print(f"error: {exc} (raise it with {hint})", file=sys.stderr)
         return EXIT_BUDGET
     except (UsageError, ffield.OddPrimeRequired, ffield.InvalidBudget, motivic.InvalidRange) as exc:
         print(f"error: {exc}", file=sys.stderr)

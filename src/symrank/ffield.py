@@ -1,10 +1,10 @@
 """Brute-force counting oracle over small prime fields of odd characteristic.
 
 Everything the symbolic layer claims is checked here by exhaustive
-enumeration: every symmetric n x n matrix over F_p is visited, its rank
-computed by Gaussian elimination, and the tallies compared against the
-polynomial predictions. Nothing in this module knows the formulas it is
-used to falsify.
+enumeration: every symmetric n x n matrix over F_p is accounted for, its
+rank computed by Gaussian elimination, and the tallies compared against
+the polynomial predictions. Nothing in this module knows the formulas it
+is used to falsify.
 
 Matrices are packed as their upper triangle in row-major order, so entry
 (0, 0) comes first, the rest of the first row next, and the minor
@@ -13,23 +13,28 @@ slots. Enumeration is lexicographic with the first packed entry varying
 fastest, which makes every traversal reproducible.
 
 The per-matrix work is vectorized with numpy. Both kernels share one
-walk (:func:`_minor_groups`): each run of p^n consecutive indices shares
-one (n-1) x (n-1) minor, so a chunk is a group of whole minors times a
-slice of one decoded table of completing rows. They differ only in
-elimination. Rank histograms (:func:`enumerate_rank_counts`) reduce each
+walker (:func:`_minor_groups`): each run of p^n consecutive indices
+shares one (n-1) x (n-1) minor, so a chunk is a group of whole minors
+times a slice of one decoded table of completing rows. Rank histograms
+(:func:`enumerate_rank_counts`) visit every matrix: they reduce each
 minor once by Gauss-Jordan, batched across minors, and then only each
 completion's first row and column against it. The fiber census ranks
 whole matrices with :func:`_batched_rank`, in lockstep, one pivot column
 at a time, in int16, which is exact because every entry stays in
-(-p^2, p^2) for p <= 97. The census marginals are checked against the
-histograms, so each kernel tests the other. At n = 5, p = 3 (14.3M
-matrices), on one core of a 2-vCPU Intel Xeon VM, the histogram takes
-0.33-0.37 s and the census 1.6-1.9 s.
+(-p^2, p^2) for p <= 97. It visits the completions of one minor per
+orbit of N -> cN, c in F_p^*, and counts them once per minor of the
+orbit: scaling a matrix by c keeps its rank and its minor's, which is
+linear algebra, not the filtration the census tests. The census
+marginals are checked against the histograms, so each kernel tests the
+other on a different walk. At n = 5, p = 3 (14.3M matrices, 7.2M of
+them ranked by the census), on one core of a 2-vCPU Intel Xeon VM, the
+histogram takes 0.37-0.42 s and the census 0.99-1.03 s.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,21 +103,53 @@ class PrimeField:
         self._inv_array = np.array(self.inverse_table, dtype=np.int16)
 
 
+class _ScratchField(PrimeField):
+    """F_p with the working memory of :func:`_batched_rank` for batches of
+    at most ``capacity`` matrices of size at most n. A walk that makes one
+    and ranks every chunk over it allocates that memory once, not on
+    every call, so the allocator has nothing to hand back to the system
+    and fault in again between chunks. It goes where the field goes, so
+    the kernel's (dense, field) signature stays as it is.
+    """
+
+    __slots__ = ("ints", "bools")
+
+    def __init__(self, p: int, n: int, capacity: int):
+        super().__init__(p)
+        self.ints = np.empty((n * n + 3 * n) * capacity, dtype=np.int16)
+        self.bools = np.empty((2 * n + 2) * capacity, dtype=bool)
+
+
+def _views(buffer: np.ndarray, batch: int, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive arrays of shapes ``shape + (batch,)`` from the front of
+    the flat ``buffer``."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape) * batch
+        views.append(buffer[lo : lo + size].reshape(*shape, batch))
+        lo += size
+    return views
+
+
 def _triangle(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def _space_size(n: int, p: int, budget: int) -> int:
-    """The p^(n(n+1)/2) matrices to visit, refused if over ``budget``.
-
-    The one check of a budget: raises :class:`InvalidBudget` for one below
-    0, or above :data:`MAX_BUDGET` (its indices would overflow the int64
-    arrays), and :class:`BudgetExceeded` for a larger space.
-    """
+def _check_budget(budget: int) -> None:
+    """The one check of a budget's range: raises :class:`InvalidBudget` for
+    one below 0, or above :data:`MAX_BUDGET` (its indices would overflow
+    the int64 arrays)."""
     if budget < 0:
         raise InvalidBudget(f"budget must be >= 0, got {budget}")
     if budget > MAX_BUDGET:
         raise InvalidBudget(f"budget must be <= {MAX_BUDGET}, got {budget}")
+
+
+def _space_size(n: int, p: int, budget: int) -> int:
+    """The p^(n(n+1)/2) matrices to visit, refused if over ``budget``:
+    :func:`_check_budget`, then :class:`BudgetExceeded` for a larger space.
+    """
+    _check_budget(budget)
     total = p ** _triangle(n)
     if total > budget:
         raise BudgetExceeded(total, budget)
@@ -201,19 +238,21 @@ def _batched_rank(dense: np.ndarray, field: PrimeField) -> np.ndarray:
     other unused row is reduced by it. Only the columns right of the
     pivot column are updated, since no later step reads the others.
     It works in one int16 copy of ``dense`` and leaves the input unchanged.
+    The copy and every other buffer come from ``field`` when it is a
+    :class:`_ScratchField`, and are allocated for this call otherwise.
     """
     n, _, batch = dense.shape
     if n == 0 or batch == 0:
         return np.zeros(batch, dtype=np.int16)
     p = field.p
-    a = dense.astype(np.int16)
-    free = np.ones((n, batch), dtype=bool)
-    pivot = np.empty((n, batch), dtype=bool)  # one-hot pivot row per matrix
-    cand = np.empty(batch, dtype=bool)
-    found = np.empty(batch, dtype=bool)
+    if not isinstance(field, _ScratchField):
+        field = _ScratchField(p, n, batch)
+    a, factors, buf = _views(field.ints, batch, (n, n), (n,), (2 * n,))
+    np.copyto(a, dense, casting="unsafe")
+    # pivot: the one-hot pivot row of each matrix in the current column.
+    free, pivot, cand, found = _views(field.bools, batch, (n,), (n,), (), ())
+    free[:] = True
     rank = np.zeros(batch, dtype=np.int16)
-    factors = np.empty((n, batch), dtype=np.int16)
-    buf = np.empty((2 * n, batch), dtype=np.int16)
     for col in range(n):
         column = a[:, col, :]
         found[:] = False
@@ -235,7 +274,7 @@ def _batched_rank(dense: np.ndarray, field: PrimeField) -> np.ndarray:
         # A matrix with no pivot here has only zeros in its free rows of
         # this column, so all its factors vanish.
         np.multiply(column, free, out=factors)
-        factors *= np.take(field._inv_array, piv_rows[0])
+        factors *= np.take(field._inv_array, piv_rows[0], out=prod[0])
         _reduce(factors, p, buf[n:])
         for i in range(n):
             rest = a[i, col + 1 :, :]
@@ -245,7 +284,7 @@ def _batched_rank(dense: np.ndarray, field: PrimeField) -> np.ndarray:
     return rank
 
 
-def _minor_groups(k: int, width: int, span: int, p: int):
+def _minor_groups(k: int, width: int, span: int, p: int, orbits: bool = False):
     """Every k x k minor times every one of the p^width completing rows, in
     packed-index order (index = minor * p^width + row: the first row fills
     the low packed digits). Yields (minors, slices): the packed indices of
@@ -253,14 +292,24 @@ def _minor_groups(k: int, width: int, span: int, p: int):
     slices of at most ``span`` columns of one digit-major table of all the
     rows (:func:`_decode_digits`). A group times a slice is at most ``span``
     matrices.
+
+    With ``orbits``, the walk takes one minor from each orbit of N -> cN,
+    c in F_p^*: the zero minor, an orbit of its own, in a group of its own,
+    then each minor whose highest nonzero packed digit is 1, i.e. the
+    indices [p^t, 2 p^t) for t < k(k+1)/2, each one of an orbit of p - 1.
     """
     rows = p**width
     table = _decode_digits(np.arange(rows, dtype=np.int64), width, p)
     slices = [table[:, lo : lo + span] for lo in range(0, rows, span)]
     group = max(1, span // rows)
-    minor_count = p ** _triangle(k)
-    for lo in range(0, minor_count, group):
-        yield np.arange(lo, min(lo + group, minor_count), dtype=np.int64), slices
+    digits = _triangle(k)
+    if orbits:
+        runs = [(0, 1)] + [(p**t, 2 * p**t) for t in range(digits)]
+    else:
+        runs = [(0, p**digits)]
+    for lo, hi in runs:
+        for start in range(lo, hi, group):
+            yield np.arange(start, min(start + group, hi), dtype=np.int64), slices
 
 
 def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
@@ -403,6 +452,12 @@ def enumerate_rank_counts(
 def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> FiberCensus:
     """Joint (minor rank, full rank) tally over the whole space.
 
+    Scaling by c in F_p^* keeps both ranks and maps the fiber over a minor
+    N (its p^n completions) onto the fiber over cN, so the census ranks
+    the fiber of one minor per scaling orbit (:func:`_minor_groups`) and
+    counts it once per minor of the orbit: once for the zero minor, p - 1
+    times for any other.
+
     The 0 x 0 minor of a 1 x 1 matrix counts as rank 0, so the n = 1
     census degenerates gracefully.
     """
@@ -412,19 +467,22 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
     _space_size(n, p, budget)
     base = n + 1
     acc = np.zeros((n + 1) * base, dtype=np.int64)
-    # Reused by every chunk; made before any per-group array (fewer page faults).
+    # Both reused by every chunk; made before any per-group array (fewer page faults).
     dense = np.empty((n, n, _CHUNK), dtype=np.int16)
-    for minor_idx, row_slices in _minor_groups(n - 1, n, _CHUNK, p):
+    scratch = _ScratchField(p, n, _CHUNK)
+    for minor_idx, row_slices in _minor_groups(n - 1, n, _CHUNK, p, orbits=True):
+        orbit = p - 1 if minor_idx[0] else 1
         minors = _dense_batch(minor_idx, n - 1, p)
-        minor_ranks = _batched_rank(minors, field) * base
+        minor_ranks = _batched_rank(minors, scratch) * base
         for rows in row_slices:
             flat = dense[:, :, : len(minor_idx) * rows.shape[1]]
             batch = flat.reshape(n, n, len(minor_idx), rows.shape[1])  # a view: fills flat
             batch[0] = rows[:, None, :]
             batch[1:, 0] = rows[1:, None, :]
             batch[1:, 1:] = minors[..., None]
-            ranks = _batched_rank(flat, field)
-            acc += np.bincount(np.repeat(minor_ranks, rows.shape[1]) + ranks, minlength=len(acc))
+            ranks = _batched_rank(flat, scratch)
+            tally = np.bincount(np.repeat(minor_ranks, rows.shape[1]) + ranks, minlength=len(acc))
+            acc += orbit * tally
     table: dict[tuple[int, int], int] = {}
     for r in range(n + 1):
         for s in range(n + 1):

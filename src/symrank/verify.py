@@ -193,9 +193,11 @@ def verify_fibers(
     full ranks r, r+1, r+2. Marginals: summing the census over minor
     rank reproduces the full histogram; summing over full rank gives
     p^n * N_r. The census is always enumerated afresh, with the whole-
-    matrix kernel, while the histograms use bordered elimination, so the
-    marginals compare two independent walks and two rank kernels; the
-    histograms come from (and go to) ``histograms``.
+    matrix kernel, over the fiber of one minor per scaling orbit (rank
+    is invariant under scaling by F_p^*: linear algebra, not the paper's
+    filtration), while the histograms visit every matrix with bordered
+    elimination, so the marginals compare two different walks and two
+    rank kernels; the histograms come from (and go to) ``histograms``.
     """
     fields = [ffield.PrimeField(p) for p in primes]
     histograms = {} if histograms is None else histograms
@@ -274,11 +276,16 @@ def run_full_suite(
 ) -> VerificationReport:
     """All verifiers merged into one report, in a fixed order.
 
-    The counting verifiers share one histogram per (n, p), enumerated
-    once in this call and dropped when it returns; the fiber census
-    still walks its space on its own, with its own rank kernel, so the
-    fiber marginals compare two walks and two kernels.
+    A budget out of range raises :class:`ffield.InvalidBudget` before any
+    check runs. The counting verifiers share one histogram per (n, p),
+    enumerated once in this call and dropped when it returns; the fiber
+    census still walks its space on its own, with its own rank kernel,
+    so the fiber marginals compare two walks and two kernels. The census
+    ranks the fiber of one minor per scaling orbit, since rank is
+    invariant under scaling by F_p^* (linear algebra, not the paper's
+    filtration), while the histograms visit every matrix.
     """
+    ffield._check_budget(budget)
     histograms: Histograms = {}
     parts = [
         verify_formula_vs_recursion(symbolic_max_n),

@@ -3,15 +3,20 @@
 A symmetric matrix type over packed upper triangles and a one-matrix
 Gaussian elimination, kept apart from ``symrank.ffield`` so that the
 tests compare both vectorized kernels against code they do not share;
-and the JSON object of a class, which ``json.dumps`` renders as the
-bytes ``MotivicClass.to_json`` must reproduce.
+the fiber census over every matrix of the space, which the census over
+scaling orbits must reproduce; and the JSON object of a class, which
+``json.dumps`` renders as the bytes ``MotivicClass.to_json`` must
+reproduce.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from symrank.ffield import PrimeField
+import numpy as np
+
+from symrank.ffield import FiberCensus, PrimeField, _batched_rank, _dense_batch
 from symrank.motivic import MotivicClass
 
 
@@ -95,6 +100,17 @@ def rank(m: SymMatrix, field: PrimeField) -> int:
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         r += 1
     return r
+
+
+def full_walk_census(n: int, field: PrimeField) -> FiberCensus:
+    """The (minor rank, full rank) tally of every one of the p^(n(n+1)/2)
+    matrices, each and its minor ranked in one batch by the whole-matrix
+    kernel (which the tests hold to :func:`rank`)."""
+    p = field.p
+    dense = _dense_batch(np.arange(p ** _triangle(n), dtype=np.int64), n, p)
+    full = _batched_rank(dense, field).tolist()
+    minor = _batched_rank(dense[1:, 1:], field).tolist()
+    return FiberCensus(n, p, dict(Counter(zip(minor, full))))
 
 
 def class_json_dict(c: MotivicClass) -> dict:

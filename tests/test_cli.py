@@ -407,6 +407,18 @@ def test_budget_env_var(capsys, monkeypatch):
     assert err == f"error: budget must be <= {2**63 - 1}, got {2**63}\n"
 
 
+def test_refusal_hint_names_only_what_can_help(capsys, monkeypatch):
+    argv = ("count", "--n", "3", "--k", "3", "--q", "3", "--brute-force")
+    refusal = f"error: enumeration needs {3**6} matrix visits, budget is 100"
+    # An explicit --budget wins over the variable, so the variable cannot help.
+    monkeypatch.setenv("SYMRANK_BUDGET", "1000000000")
+    code, _, err = run(capsys, *argv, "--budget", "100")
+    assert (code, err) == (3, f"{refusal} (raise it with --budget)\n")
+    monkeypatch.setenv("SYMRANK_BUDGET", "100")
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (3, f"{refusal} (raise it with --budget or SYMRANK_BUDGET)\n")
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     first = run(capsys, "table", "--max-n", "4", "--format", "csv")
     second = run(capsys, "table", "--max-n", "4", "--format", "csv")

@@ -178,6 +178,29 @@ class TestMinorGroups:
         assert np.array_equal(np.concatenate(visited), np.arange(total))
         assert max(sizes) <= span
 
+    @pytest.mark.parametrize("span", [1, 7, 100])
+    @pytest.mark.parametrize("k,p", [(0, 3), (1, 5), (2, 3), (2, 5), (3, 3)])
+    def test_orbit_walk_takes_one_minor_per_scaling_orbit(self, k, p, span):
+        t = k * (k + 1) // 2
+        groups = list(ffield._minor_groups(k, k + 1, span, p, orbits=True))
+        minors = np.concatenate([group for group, _ in groups]).tolist()
+        assert len(minors) == 1 + (p**t - 1) // (p - 1)
+        assert minors == sorted(set(minors))
+        # The zero minor is an orbit, and a group, of its own.
+        assert groups[0][0].tolist() == [0]
+        weights = 0
+        multiples = set()
+        for group, slices in groups:
+            weights += len(group) * (p - 1 if group[0] else 1)
+            assert max(len(group) * table.shape[1] for table in slices) <= span
+            for m in group.tolist():
+                entries = SymMatrix.from_index(k, p, m).entries
+                if m:
+                    assert [e for e in entries if e][-1] == 1
+                multiples |= {tuple(c * e % p for e in entries) for c in range(1, p)}
+        assert weights == p**t
+        assert len(multiples) == p**t  # the orbits cover every minor
+
 
 class TestBorderedKernel:
     # (2, 97) is the largest field, where int16 elimination is tightest.
@@ -280,6 +303,19 @@ class TestFiberCensus:
         whole = ffield.fiber_census(n, field)
         monkeypatch.setattr(ffield, "_CHUNK", chunk)
         assert ffield.fiber_census(n, field) == whole
+
+    # At (4, 3) a chunk of 1 would take 29,565 one-matrix kernel calls
+    # (about 8 s); (3, 3) and (3, 5) already split every fiber that far.
+    @pytest.mark.parametrize(
+        "n,p,chunk",
+        [(n, p, chunk) for n in (1, 2, 3) for p in (3, 5) for chunk in (1, 7, 100)]
+        + [(4, 3, 7), (4, 3, 100)],
+    )
+    def test_orbit_census_equals_full_walk(self, n, p, chunk, monkeypatch):
+        field = PrimeField(p)
+        expected = reference.full_walk_census(n, field)
+        monkeypatch.setattr(ffield, "_CHUNK", chunk)
+        assert ffield.fiber_census(n, field) == expected
 
     @pytest.mark.parametrize("chunk", [None, 7, 1, 100])
     def test_batches_bounded_by_chunk(self, chunk, monkeypatch):

@@ -164,6 +164,15 @@ class TestReports:
         with pytest.raises(ffield.InvalidBudget, match="budget must be >= 0, got -1"):
             verify.run_full_suite(1, 1, [3], -1)
 
+    @pytest.mark.parametrize("budget", [-1, ffield.MAX_BUDGET + 1])
+    def test_bad_budget_refused_before_any_check(self, budget, monkeypatch):
+        def no_symbolic_work(*args, **kwargs):
+            raise AssertionError("a check ran before the budget was refused")
+
+        monkeypatch.setattr(motivic, "class_exact", no_symbolic_work)
+        with pytest.raises(ffield.InvalidBudget):
+            verify.run_full_suite(30, 5, (3,), budget)
+
     def test_summary_table_format(self):
         report = verify.run_full_suite(1, 1, [3], budget=10**4)
         table = verify.summary_table(report)
