@@ -22,10 +22,13 @@ an exact-rank class (:func:`class_exact`); every other class sums
 exact-rank classes over its ranks. The bundle identity of the rank-<=k
 locus is the verification layer's ``at_most_bundle`` check.
 
-Everything here is a pure function over immutable values. The memo
-table behind the recursion is idempotent per key, so concurrent fills
-are harmless; :func:`clear_caches` exists so tests can prove the cache
-is semantically invisible.
+Everything here is a pure function over immutable values, behind two
+memo tables: the recursion's, one entry per (n, k) and idempotent per
+key, and the closed form's running product, one row for the last n
+asked (:func:`closed_form`), replaced whole, never edited in place. So
+concurrent fills are harmless, and neither route reads the other's
+table. :func:`clear_caches` clears both, so tests can prove the caches
+are semantically invisible.
 """
 
 from __future__ import annotations
@@ -256,16 +259,22 @@ def closed_form(n: int, k: int) -> MotivicClass:
 
     The numerator multiplies the factors L^(2i) for 1 <= i <= floor(k/2)
     and (L^(n-i) - 1) for 0 <= i < k; the denominator is the product of
-    the (L^(2i) - 1). The quotient is built one factor at a time: start
-    from L^s, the product of the L^(2i), multiply by the (L^(n-i) - 1) in
-    turn, and after the first 2j of them divide exactly by (L^(2j) - 1).
-    Each division is exact because the running value is then L^s times
-    the first 2j numerator binomials over the first j denominator ones,
+    the (L^(2i) - 1). The class is L^s, the product of the L^(2i), times
+    V_k, the k-th value of a running product over one row n: V_0 = 1,
+    V_(i+1) = V_i (L^(n-i) - 1), and after the first 2j factors an exact
+    division by (L^(2j) - 1). Each division is exact because V_2j is the
+    first 2j numerator binomials over the first j denominator ones,
     which is closed_form(n, 2j) / L^(j(j+1)), a polynomial. Every divisor
     is monic, so quotients are unique and the result is the one a single
     division at the end would give; a nonzero remainder would mean the
     formula is mistranscribed. Dividing as the product grows keeps every
     intermediate at the size of a class, not of the whole numerator.
+
+    V_k for k and V_(k+1) for k + 1 share all but one factor, so the row
+    is cached (:func:`_running_product`): walking k upward within n, as
+    tables and range sums do, computes each factor once, and a single
+    class computes only its own k factors. The cache never reads the
+    recursion's, so the two routes stay independent computations.
 
     >>> closed_form(3, 1).value
     LaurentPolynomial('L^3 - 1')
@@ -274,12 +283,33 @@ def closed_form(n: int, k: int) -> MotivicClass:
     if k < 0 or k > n:
         return MotivicClass(descriptor, ZERO, ROUTE_CLOSED_FORM)
     half = k // 2
-    value = monomial(1, half * (half + 1))
-    for i in range(0, k):
-        value = value * (monomial(1, n - i) - 1)
-        if i % 2:
-            value = value.div_exact(monomial(1, i + 1) - 1)
+    value = monomial(1, half * (half + 1)) * _running_product(n, k)
     return MotivicClass(descriptor, value, ROUTE_CLOSED_FORM)
+
+
+#: The closed form's row cache: (n, (V_0, ..., V_m)) for the last n
+#: asked, m the largest k asked of it since. Replaced whole, never edited
+#: in place, so a concurrent reader always sees a consistent row.
+_row: tuple[int, tuple[LaurentPolynomial, ...]] = (0, (ONE,))
+
+
+def _running_product(n: int, k: int) -> LaurentPolynomial:
+    """V_k of :func:`closed_form`'s row n (0 <= k <= n), from the cached
+    row when it is row n, extending it to k if it stops short."""
+    global _row
+    row_n, row = _row
+    if row_n != n:
+        row = (ONE,)
+    if k >= len(row):
+        values = list(row)
+        for i in range(len(row) - 1, k):
+            value = values[i] * (monomial(1, n - i) - 1)
+            if i % 2:
+                value = value.div_exact(monomial(1, i + 1) - 1)
+            values.append(value)
+        row = tuple(values)
+    _row = (n, row)
+    return row[k]
 
 
 def full_rank_product(n: int) -> MotivicClass:
@@ -358,5 +388,8 @@ def point_count(c: MotivicClass, q: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all memoized class values (recomputation must be identical)."""
+    """Drop all memoized class values, the recursion's table and the
+    closed form's row (recomputation must be identical)."""
+    global _row
     _exact_value.cache_clear()
+    _row = (0, (ONE,))

@@ -65,9 +65,11 @@ class VerificationReport:
 
 
 def _check(check_id: str, params: dict[str, int], expected, actual) -> CheckResult:
-    expected_s, actual_s = str(expected), str(actual)
-    status = STATUS_PASS if expected == actual else STATUS_FAIL
-    return CheckResult(check_id, params, status, expected_s, actual_s)
+    # Equal values of the same kind render alike: a pass renders once.
+    expected_s = str(expected)
+    if expected == actual:
+        return CheckResult(check_id, params, STATUS_PASS, expected_s, expected_s)
+    return CheckResult(check_id, params, STATUS_FAIL, expected_s, str(actual))
 
 
 def _skip(check_id: str, params: dict[str, int], reason: str) -> CheckResult:

@@ -116,6 +116,26 @@ class TestTableCommand:
         assert err == "error: --max-n must be >= 0\n"
 
 
+def test_closed_form_route_calls_the_module_attribute(capsys, monkeypatch):
+    # Fault injection and per-function tracing both replace motivic.closed_form.
+    argvs = (
+        ("class", "--n", "2", "--k", "1", "--route", "closed-form"),
+        ("table", "--max-n", "2", "--route", "closed-form"),
+    )
+    before = [run(capsys, *argv)[1] for argv in argvs]
+    closed_form = motivic.closed_form
+
+    def plus_one(n, k):
+        c = closed_form(n, k)
+        return motivic.MotivicClass(c.descriptor, c.value + 1, c.route)
+
+    monkeypatch.setattr(motivic, "closed_form", plus_one)
+    after = [run(capsys, *argv)[1] for argv in argvs]
+    assert before[0] == "L^2 - 1\n"
+    assert after[0] == "L^2\n"
+    assert after[1] != before[1]
+
+
 class TestCountCommand:
     def test_brute_force_match(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "2", "--k", "2", "--q", "3", "--brute-force")

@@ -1,10 +1,13 @@
 import json
+import random
+import sys
+import threading
 
 import pytest
 
 from reference import class_json_dict
 from symrank import ffield, motivic
-from symrank.laurent import L, ONE, ZERO, monomial
+from symrank.laurent import L, ONE, ZERO, LaurentPolynomial, monomial
 from symrank.motivic import (
     InvalidRange,
     TateSummand,
@@ -138,6 +141,21 @@ class TestClosedForm:
         cases += [(60, k) for k in (1, 2, 29, 30, 59, 60)]
         for n, k in cases:
             assert motivic.closed_form(n, k).value == motivic.class_exact(n, k).value
+
+    def test_single_class_multiplies_only_its_own_factors(self, monkeypatch):
+        calls = []
+        mul = LaurentPolynomial.__mul__
+
+        def counted(self, other):
+            calls.append((self, other))
+            return mul(self, other)
+
+        motivic.clear_caches()
+        monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+        monkeypatch.setattr(LaurentPolynomial, "__rmul__", counted)
+        motivic.closed_form(60, 2)
+        # Two factors of row 60, then the power of L: not the whole row.
+        assert len(calls) <= 3
 
 
 class TestFullRankProduct:
@@ -285,3 +303,41 @@ def test_memoization_is_semantically_invisible():
     motivic.clear_caches()
     for (n, k), value in warm.items():
         assert motivic.class_exact(n, k).value == value
+    # The closed form's row cache, asked across rows and back in k: cold,
+    # warm, then cold again.
+    jumps = ((10, 7), (10, 3), (9, 9), (10, 10), (10, 0), (4, 6), (4, -1))
+    for clear in (False, False, True):
+        if clear:
+            motivic.clear_caches()
+        for n, k in jumps:
+            closed = motivic.class_exact(n, k, motivic.ROUTE_CLOSED_FORM).value
+            assert closed == motivic.class_exact(n, k).value
+
+
+def test_closed_form_row_cache_under_threads():
+    # Threads jumping between rows must never read a value of another row
+    # or index: the row is replaced whole, never edited in place.
+    expected = {(n, k): motivic.class_exact(n, k).value for n in range(6, 13) for k in range(n + 1)}
+    wrong = []
+
+    def ask(seed):
+        try:
+            for n, k in random.Random(seed).sample(sorted(expected), len(expected)):
+                if motivic.closed_form(n, k).value != expected[(n, k)]:
+                    wrong.append((n, k))
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            wrong.append(exc)
+
+    motivic.clear_caches()
+    threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
