@@ -148,23 +148,12 @@ def cmd_count(args) -> int:
     return EXIT_OK if verdict == "MATCH" else EXIT_VERIFICATION_FAILURE
 
 
-def _fiber_rows(n: int, field: ffield.PrimeField, budget: int):
-    census = ffield.fiber_census(n, field, budget)
-    minor_hist = ffield.enumerate_rank_counts(n - 1, field, budget)
-    expected = verify.expected_fiber_table(n, field.p, minor_hist.counts)
-    rows = []
-    for key in sorted(set(census.table) | set(expected)):
-        counted = census.table.get(key, 0)
-        predicted = expected.get(key, 0)
-        rows.append((key[0], key[1], counted, predicted, "MATCH" if counted == predicted else "MISMATCH"))
-    return rows
-
-
 def cmd_fibers(args) -> int:
     field = ffield.PrimeField(args.p)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    rows = _fiber_rows(args.n, field, _budget(args))
+    rows = verify.fiber_rows(args.n, field, _budget(args), {})
+    rows = [(*row, "MATCH" if row[2] == row[3] else "MISMATCH") for row in rows]
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -226,6 +215,9 @@ def cmd_verify(args) -> int:
     else:
         symbolic_max_n = verify.SYMBOLIC_MAX_N
         counting_max_n = verify.COUNTING_MAX_N
+    repeated = sorted({p for p in args.primes if args.primes.count(p) > 1})
+    if repeated:
+        raise UsageError(f"--primes repeats {', '.join(map(str, repeated))}")
     report = verify.run_full_suite(symbolic_max_n, counting_max_n, args.primes, _budget(args))
     if args.format == "json":
         print(report.to_json())

@@ -11,7 +11,7 @@ strata, which yields a three-term recursion in n:
            + (L^k - L^(k-1)) * [n-1, k-1]
            + L^k             * [n-1, k]
 
-with [n, 0] = 1, [1, 1] = L - 1 and [n, k] = 0 outside 0 <= k <= n.
+with [n, 0] = 1 and [n, k] = 0 outside 0 <= k <= n, so [1, 1] = L - 1.
 The same classes admit a closed product formula whose denominator
 divides the numerator exactly in Z[L]; this module computes both and
 the package's verification layer insists they agree everywhere.
@@ -194,20 +194,32 @@ class TateSummand:
         return base if self.multiplicity == 1 else f"{base}^{self.multiplicity}"
 
 
+#: Rows a cold recursive call may descend before it meets a filled row.
+_FILL_STRIDE = 128
+
+
 @functools.lru_cache(maxsize=None)
 def _exact_value(n: int, k: int) -> LaurentPolynomial:
     if k < 0 or k > n:
         return ZERO
     if k == 0:
         return ONE
-    if n == 1 and k == 1:
-        # rank-1 locus of 1x1 matrices: the punctured line.
-        return L - 1
     return (
         (monomial(1, n) - monomial(1, k - 1)) * _exact_value(n - 1, k - 2)
         + (monomial(1, k) - monomial(1, k - 1)) * _exact_value(n - 1, k - 1)
         + monomial(1, k) * _exact_value(n - 1, k)
     )
+
+
+def _recursive_value(n: int, k: int) -> LaurentPolynomial:
+    """:func:`_exact_value` without deep recursion: for n past
+    :data:`_FILL_STRIDE`, ranks 0..k of every _FILL_STRIDE-th row below n
+    are asked first, bottom-up, so no cold call descends more rows than
+    that. Smaller n take no loop."""
+    for m in range(_FILL_STRIDE, n, _FILL_STRIDE):
+        for j in range(min(k, m) + 1):
+            _exact_value(m, j)
+    return _exact_value(n, k)
 
 
 def _strata_sum(descriptor: VarietyDescriptor, route: str) -> LaurentPolynomial:
@@ -234,7 +246,7 @@ def class_exact(n: int, k: int, route: str = ROUTE_RECURSION) -> MotivicClass:
         return closed_form(n, k)
     if route != ROUTE_RECURSION:
         raise ValueError(f"unknown route {route!r}")
-    return MotivicClass(VarietyDescriptor.exact(n, k), _exact_value(n, k), ROUTE_RECURSION)
+    return MotivicClass(VarietyDescriptor.exact(n, k), _recursive_value(n, k), ROUTE_RECURSION)
 
 
 def class_at_most(n: int, k: int, route: str = ROUTE_RECURSION) -> MotivicClass:
@@ -341,7 +353,7 @@ def projective_full_rank(n: int) -> MotivicClass:
     """
     if n < 1:
         raise ValueError(f"projective full rank needs n >= 1, got {n}")
-    value = _exact_value(n, n).div_exact(L - 1)
+    value = _recursive_value(n, n).div_exact(L - 1)
     return MotivicClass(VarietyDescriptor.projective_full(n), value, ROUTE_QUOTIENT)
 
 

@@ -182,6 +182,20 @@ def verify_point_counts(
     return VerificationReport(results, {"max_n": max_n, "primes": [f.p for f in fields], "budget": budget})
 
 
+def fiber_rows(
+    n: int, f: ffield.PrimeField, budget: int, histograms: Histograms
+) -> list[tuple[int, int, int, int]]:
+    """(minor rank, full rank, counted, expected) for every bucket that the
+    (n, p) fiber census, enumerated afresh, or :func:`expected_fiber_table`
+    fills, in key order; the minor histogram is read from or added to ``histograms``."""
+    census = ffield.fiber_census(n, f, budget)
+    expected = expected_fiber_table(n, f.p, _rank_counts(histograms, n - 1, f, budget).counts)
+    return [
+        (r, s, census.table.get((r, s), 0), expected.get((r, s), 0))
+        for r, s in sorted(census.table.keys() | expected.keys())
+    ]
+
+
 def verify_fibers(
     max_n: int,
     primes,
@@ -190,38 +204,29 @@ def verify_fibers(
 ) -> VerificationReport:
     """Fiber census bucket and marginal checks for every in-budget (n, p).
 
-    Buckets: with N_r the enumerated count of rank-r minors, the census
-    must read p^r * N_r, p^r (p-1) * N_r and (p^n - p^(r+1)) * N_r at
-    full ranks r, r+1, r+2. Marginals: summing the census over minor
-    rank reproduces the full histogram; summing over full rank gives
-    p^n * N_r. The census is always enumerated afresh, with the whole-
-    matrix kernel, over the fiber of one minor per scaling orbit (rank
-    is invariant under scaling by F_p^*: linear algebra, not the paper's
-    filtration), while the histograms visit every matrix with bordered
-    elimination, so the marginals compare two different walks and two
-    rank kernels; the histograms come from (and go to) ``histograms``.
+    Buckets pass when every row of :func:`fiber_rows` has counted ==
+    expected. Marginals: summing the census over minor rank reproduces
+    the full histogram; summing over full rank gives p^n times the minor
+    histogram. The census and the histograms (from and to
+    ``histograms``) differ in walk and kernel; see :mod:`symrank.ffield`.
     """
     fields = [ffield.PrimeField(p) for p in primes]
     histograms = {} if histograms is None else histograms
     results: list[CheckResult] = []
     checks = ("fiber_buckets", "fiber_marginals")
     for n, f, params in _counting_grid(range(1, max_n + 1), fields, budget, checks, results):
-        p = f.p
-        census = ffield.fiber_census(n, f, budget)
-        minor_hist = _rank_counts(histograms, n - 1, f, budget)
-        expected_table = expected_fiber_table(n, p, minor_hist.counts)
-        results.append(
-            _check("fiber_buckets", params, sorted(expected_table.items()), sorted(census.table.items()))
-        )
-        full_hist = _rank_counts(histograms, n, f, budget)
+        rows = fiber_rows(n, f, budget, histograms)
+        expected = [((r, s), e) for r, s, _, e in rows if e]
+        counted = [((r, s), c) for r, s, c, _ in rows if c]
+        results.append(_check("fiber_buckets", params, expected, counted))
         full_marginal = [0] * (n + 1)
         minor_marginal = [0] * n
-        for (r, s), c in census.table.items():
+        for r, s, c, _ in rows:
             full_marginal[s] += c
             minor_marginal[r] += c
         expected_marginals = (
-            list(full_hist.counts),
-            [p**n * n_r for n_r in minor_hist.counts],
+            list(_rank_counts(histograms, n, f, budget).counts),
+            [f.p**n * n_r for n_r in _rank_counts(histograms, n - 1, f, budget).counts],
         )
         results.append(
             _check(
@@ -278,16 +283,14 @@ def run_full_suite(
 ) -> VerificationReport:
     """All verifiers merged into one report, in a fixed order.
 
-    A budget out of range raises :class:`ffield.InvalidBudget` before any
-    check runs. The counting verifiers share one histogram per (n, p),
-    enumerated once in this call and dropped when it returns; the fiber
-    census still walks its space on its own, with its own rank kernel,
-    so the fiber marginals compare two walks and two kernels. The census
-    ranks the fiber of one minor per scaling orbit, since rank is
-    invariant under scaling by F_p^* (linear algebra, not the paper's
-    filtration), while the histograms visit every matrix.
+    A budget out of range raises :class:`ffield.InvalidBudget`, and a
+    modulus that is not a supported odd prime :class:`ffield.OddPrimeRequired`,
+    before any check runs. The counting verifiers share one histogram per
+    (n, p), enumerated once in this call and dropped when it returns.
     """
     ffield._check_budget(budget)
+    for p in primes:
+        ffield.PrimeField(p)
     histograms: Histograms = {}
     parts = [
         verify_formula_vs_recursion(symbolic_max_n),

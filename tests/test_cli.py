@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,12 @@ class TestClassCommand:
             capsys, "class", "--n", "5", "--k", "3", "--route", "closed-form"
         )
         assert via_recursion == via_closed
+
+    def test_deep_row_by_recursion(self, capsys):
+        motivic.clear_caches()
+        code, out, err = run(capsys, "class", "--n", "1000", "--k", "2")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "class", "--n", "1000", "--k", "2", "--route", "closed-form")[1]
 
     def test_projective_full(self, capsys):
         code, out, _ = run(capsys, "class", "--n", "3", "--projective-full")
@@ -275,6 +283,24 @@ class TestFibersCommand:
         assert "2,3,0,0,1,2,MISMATCH\n" in out
 
 
+    def test_each_space_walked_once(self, capsys, monkeypatch):
+        walks = Counter()
+
+        def counting(kind, fn):
+            def shim(n, field, budget=ffield.DEFAULT_BUDGET):
+                walks[(kind, n, field.p)] += 1
+                return fn(n, field, budget)
+
+            return shim
+
+        monkeypatch.setattr(
+            ffield, "enumerate_rank_counts", counting("histogram", ffield.enumerate_rank_counts)
+        )
+        monkeypatch.setattr(ffield, "fiber_census", counting("census", ffield.fiber_census))
+        assert run(capsys, "fibers", "--n", "2", "--p", "3")[0] == 0
+        assert walks == {("census", 2, 3): 1, ("histogram", 1, 3): 1}
+
+
 class TestDecomposeCommand:
     def test_anchor(self, capsys):
         code, out, _ = run(capsys, "decompose", "--n", "1", "--k", "1")
@@ -331,6 +357,22 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: budget must be <= {ffield.MAX_BUDGET}, got {over}\n"
+
+    def test_repeated_prime_is_usage_error(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite ran before the repeated prime was refused")
+
+        monkeypatch.setattr(verify, "run_full_suite", no_work)
+        assert run(capsys, "verify", "--max-n", "2", "--primes", "3", "3") == (
+            2,
+            "",
+            "error: --primes repeats 3\n",
+        )
+        assert run(capsys, "verify", "--primes", "5", "3", "7", "5", "3") == (
+            2,
+            "",
+            "error: --primes repeats 3, 5\n",
+        )
 
     def test_failed_check_is_verification_failure(self, capsys, monkeypatch):
         closed_form = motivic.closed_form
@@ -463,6 +505,36 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: symrank")
     assert proc.stderr == ""
+
+
+#: Lines of the README's CLI block whose output the block states.
+README_OUTPUTS = {
+    "class --n 2 --k 2": "L^3 - L^2\n",
+    "class --n 3 --projective-full": "L^5 - L^2\n",
+}
+
+
+def readme_cli_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [" ".join(words[1:]) for words in lines if words[:1] == ["symrank"]]
+
+
+def test_readme_cli_examples_run(capsys):
+    lines = readme_cli_lines()
+    assert set(README_OUTPUTS) <= set(lines)
+    # The two default-grid verify lines take about 2 s each, so they are
+    # left out; the same checks run on smaller grids in test_verify.py and
+    # in the golden digests below.
+    skipped = {"verify", "verify --format json"}
+    assert skipped <= set(lines)
+    for line in lines:
+        if line in skipped:
+            continue
+        code, out, err = run(capsys, *line.split())
+        assert (line, code, err) == (line, 0, "")
+        assert out == README_OUTPUTS.get(line, out)
 
 
 #: SHA-256 of stdout, recorded before the polynomial type moved from a

@@ -341,3 +341,40 @@ def test_closed_form_row_cache_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+class TestDeepRecursion:
+    def test_cold_row_1000_by_recursion(self):
+        motivic.clear_caches()
+        assert motivic.class_exact(1000, 2).value == motivic.closed_form(1000, 2).value
+
+    def test_no_cold_call_descends_past_one_stride(self, monkeypatch):
+        # With a stride of 4 a cold (40, 20) descends at most 4 rows, so it
+        # fits a stack that the 40 rows of a plain recursion would overflow.
+        monkeypatch.setattr(motivic, "_FILL_STRIDE", 4)
+        motivic.clear_caches()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            filled = motivic.class_exact(40, 20).value
+            projective = motivic.projective_full_rank(40).value
+        finally:
+            sys.setrecursionlimit(limit)
+        assert filled == motivic.closed_form(40, 20).value
+        assert projective * (L - 1) == motivic.full_rank_product(40).value
+
+    def test_warm_call_below_one_stride_takes_no_loop(self, monkeypatch):
+        motivic.class_exact(60, 30)
+        calls = []
+        exact_value = motivic._exact_value
+
+        def counted(n, k):
+            calls.append((n, k))
+            return exact_value(n, k)
+
+        monkeypatch.setattr(motivic, "_exact_value", counted)
+        motivic.class_exact(60, 30)
+        assert calls == [(60, 30)]

@@ -95,6 +95,22 @@ class TestFibers:
         assert {r.check_id for r in skipped} == {"fiber_buckets", "fiber_marginals"}
 
 
+    def test_rows_cover_both_sides_in_key_order(self, monkeypatch):
+        expected_fiber_table = verify.expected_fiber_table
+
+        def moved(n, p, minor_counts):
+            table = expected_fiber_table(n, p, minor_counts)
+            table[(0, 3)] = table.pop((0, 2))
+            return table
+
+        field = ffield.PrimeField(3)
+        rows = verify.fiber_rows(2, field, 10**4, {})
+        assert rows == [(0, 0, 1, 1), (0, 1, 2, 2), (0, 2, 6, 6), (1, 1, 6, 6), (1, 2, 12, 12)]
+        monkeypatch.setattr(verify, "expected_fiber_table", moved)
+        rows = verify.fiber_rows(2, field, 10**4, {})
+        assert rows[2:4] == [(0, 2, 6, 0), (0, 3, 0, 6)]
+
+
 class TestProjective:
     def test_small_pass(self):
         report = verify.verify_projective(3, [3, 5])
@@ -173,6 +189,14 @@ class TestReports:
         with pytest.raises(ffield.InvalidBudget):
             verify.run_full_suite(30, 5, (3,), budget)
 
+    def test_bad_prime_refused_before_any_check(self, monkeypatch):
+        def no_symbolic_work(*args, **kwargs):
+            raise AssertionError("a check ran before the prime was refused")
+
+        monkeypatch.setattr(motivic, "class_exact", no_symbolic_work)
+        with pytest.raises(OddPrimeRequired):
+            verify.run_full_suite(30, 5, (4,), 10**6)
+
     def test_summary_table_format(self):
         report = verify.run_full_suite(1, 1, [3], budget=10**4)
         table = verify.summary_table(report)
@@ -223,3 +247,21 @@ def test_histogram_and_census_use_different_kernels(monkeypatch):
     assert statuses[("fiber_marginals", "fail")] > 0
     assert statuses[("point_count_histogram", "pass")] == 3
     assert statuses[("point_count_histogram", "fail")] == 0
+
+
+def test_prediction_fault_fails_only_fiber_buckets(monkeypatch):
+    # The fault that makes ``symrank fibers`` print MISMATCH fails the
+    # suite's bucket check too; the marginals never read the prediction.
+    expected_fiber_table = verify.expected_fiber_table
+
+    def off_by_one(n, p, minor_counts):
+        table = expected_fiber_table(n, p, minor_counts)
+        table[(0, 0)] += 1
+        return table
+
+    monkeypatch.setattr(verify, "expected_fiber_table", off_by_one)
+    report = verify.run_full_suite(2, 2, (3,))
+    failed = Counter(r.check_id for r in report.results if r.status == "fail")
+    assert failed == {"fiber_buckets": 2}
+    statuses = Counter((r.check_id, r.status) for r in report.results)
+    assert statuses[("fiber_marginals", "pass")] == 2
