@@ -16,11 +16,14 @@ The per-matrix work is vectorized with numpy. Both kernels share one
 walker (:func:`_minor_groups`): each run of p^n consecutive indices
 shares one (n-1) x (n-1) minor, so a chunk is a group of whole minors
 times a slice of one decoded table of completing rows. Rank histograms
-(:func:`enumerate_rank_counts`) visit every matrix: they reduce each
-minor once by Gauss-Jordan, batched across minors, and then only each
-completion's first row and column against it. The fiber census ranks
-whole matrices with :func:`_batched_rank`, in lockstep, one pivot column
-at a time, in int16, which is exact because every entry stays in
+(:func:`enumerate_rank_counts`) account for every matrix: they reduce
+each minor once by Gauss-Jordan, batched across minors, and then only
+each border (the first row and column below the corner) against it. The
+p corners of a (minor, border) pair change the rank only through whether
+the 1 x 1 corner a equals one value q, so each pair is tallied once for
+all p of them, in chunks of at most ``_CHUNK`` pairs. The fiber census
+ranks whole matrices with :func:`_batched_rank`, in lockstep, one pivot
+column at a time, in int16, which is exact because every entry stays in
 (-p^2, p^2) for p <= 97. It visits the completions of one minor per
 orbit of N -> cN, c in F_p^*, and counts them once per minor of the
 orbit: scaling a matrix by c keeps its rank and its minor's, which is
@@ -366,7 +369,7 @@ def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
 
 def _border_ranks(
     minor_rank: np.ndarray, maps: np.ndarray, borders: np.ndarray, p: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ranks of the matrices [[a, b^T], [b, N]] for every minor N of a
     :func:`_reduce_minors` batch, every border b among the columns of
     ``borders`` (k, nb) and every a in F_p.
@@ -376,9 +379,11 @@ def _border_ranks(
     w = W b and q = b^T Q b, so the rank is
     r + [u != 0] + [w != 0] + [u = 0 and w = 0 and a != q].
 
-    Returns shape (p, m * nb): entry [a, j] ranks the j-th (minor, border)
-    pair, minor-major, completed by corner a, so the transpose read row
-    by row is packed-index order.
+    Returns three flat arrays over the (minor, border) pairs, minor-major:
+    ``base`` = r + [u != 0] + [w != 0], ``corner_free`` = (u = 0 and
+    w = 0), and ``q``. The matrix with corner a has rank
+    base + corner_free * [a != q]; the p corners of a pair run
+    consecutively in packed-index order.
     """
     rows, m, k = maps.shape
     nb = borders.shape[1]
@@ -401,29 +406,27 @@ def _border_ranks(
         w_nonzero |= image(k + i) != 0
         q += image(2 * k + i) * borders[i]
     _reduce(q, p, scratch)
-    u_nonzero, w_nonzero, q = u_nonzero.ravel(), w_nonzero.ravel(), q.ravel()
+    base = u_nonzero.astype(np.int64)
+    base += w_nonzero
+    base += minor_rank[:, None]
     corner_free = ~(u_nonzero | w_nonzero)
-    return (np.repeat(minor_rank, nb) + u_nonzero + w_nonzero) + (
-        corner_free & (np.arange(p)[:, None] != q)
-    )
+    return base.ravel(), corner_free.ravel(), q.ravel()
 
 
 def _bordered_rank_chunks(n: int, field: PrimeField):
-    """Ranks of all p^(n(n+1)/2) symmetric n x n matrices, in chunks of at
-    most max(_CHUNK, p): arrays shaped as :func:`_border_ranks` returns
-    them, whose transposes, read row by row and chunk by chunk, run in
-    packed-index order.
+    """Ranks of all p^(n(n+1)/2) symmetric n x n matrices, n >= 1, as
+    :func:`_border_ranks` triples of at most ``_CHUNK`` (minor, border)
+    pairs each; read pair by pair and chunk by chunk, with each pair's p
+    corners in turn, they run in packed-index order.
 
     Every (n-1) x (n-1) minor of a :func:`_minor_groups` group is
     eliminated once (:func:`_reduce_minors`); each completion then
-    reduces only its border, whose p corners :func:`_border_ranks` adds.
+    reduces only its border, whose p corners differ only in whether the
+    1 x 1 corner a equals q.
     """
     p = field.p
-    if n == 0:
-        yield np.zeros((1, 1), dtype=np.int64)
-        return
     k = n - 1
-    for minors, border_slices in _minor_groups(k, k, max(1, _CHUNK // p), p):
+    for minors, border_slices in _minor_groups(k, k, _CHUNK, p):
         minor_rank, maps = _reduce_minors(minors, k, field)
         for borders in border_slices:
             yield _border_ranks(minor_rank, maps, borders, p)
@@ -435,16 +438,25 @@ def enumerate_rank_counts(
     """Exhaustive rank histogram over all p^(n(n+1)/2) symmetric matrices,
     ranked by bordered elimination (:func:`_bordered_rank_chunks`).
 
-    Raises :class:`BudgetExceeded` with the exact required visit count if
-    the space is larger than ``budget``.
+    Each (minor, border) pair stands for its p corners: all at its base
+    rank unless it is corner-free, and then one (a = q) at base and p - 1
+    at base + 1. Raises :class:`BudgetExceeded` with the exact required
+    visit count if the space is larger than ``budget``.
     """
     if n < 0:
         raise ValueError(f"matrix size must be >= 0, got {n}")
-    _space_size(n, field.p, budget)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for ranks in _bordered_rank_chunks(n, field):
-        counts += np.bincount(ranks.ravel(), minlength=n + 1)
-    return RankHistogram(n, field.p, tuple(int(c) for c in counts))
+    p = field.p
+    _space_size(n, p, budget)
+    if n == 0:
+        return RankHistogram(0, p, (1,))
+    # Slot 2 * base + corner_free tallies the pairs of each kind.
+    pairs = np.zeros(2 * (n + 1), dtype=np.int64)
+    for base, corner_free, _ in _bordered_rank_chunks(n, field):
+        pairs += np.bincount(2 * base + corner_free, minlength=len(pairs))
+    plain, free = pairs[0::2], pairs[1::2]
+    counts = p * plain + free  # a free pair's corner a = q keeps its base rank
+    counts[1:] += (p - 1) * free[:-1]  # and its other p - 1 corners add one
+    return RankHistogram(n, p, tuple(int(c) for c in counts))
 
 
 def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> FiberCensus:

@@ -283,14 +283,18 @@ def run_full_suite(
 ) -> VerificationReport:
     """All verifiers merged into one report, in a fixed order.
 
-    A budget out of range raises :class:`ffield.InvalidBudget`, and a
-    modulus that is not a supported odd prime :class:`ffield.OddPrimeRequired`,
-    before any check runs. The counting verifiers share one histogram per
-    (n, p), enumerated once in this call and dropped when it returns.
+    A budget out of range raises :class:`ffield.InvalidBudget`, a modulus
+    that is not a supported odd prime :class:`ffield.OddPrimeRequired`, and
+    a prime given twice ``ValueError``, before any check runs. The counting
+    verifiers share one histogram per (n, p), enumerated once in this call
+    and dropped when it returns.
     """
     ffield._check_budget(budget)
     for p in primes:
         ffield.PrimeField(p)
+    repeated = sorted({p for p in primes if primes.count(p) > 1})
+    if repeated:
+        raise ValueError(f"primes repeat {', '.join(map(str, repeated))}")
     histograms: Histograms = {}
     parts = [
         verify_formula_vs_recursion(symbolic_max_n),

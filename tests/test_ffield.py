@@ -37,8 +37,16 @@ def det_mod(rows, cols, mat, p):
 
 
 def bordered_ranks(n, field):
-    """Per-matrix ranks of the histogram kernel, in packed-index order."""
-    return np.concatenate([c.T.ravel() for c in ffield._bordered_rank_chunks(n, field)])
+    """Per-matrix ranks of the histogram kernel, in packed-index order:
+    each (minor, border) pair's p corners a, in turn, rank
+    base + corner_free * [a != q]."""
+    corners = np.arange(field.p)
+    return np.concatenate(
+        [
+            (base[:, None] + (corner_free[:, None] & (corners != q[:, None]))).ravel()
+            for base, corner_free, q in ffield._bordered_rank_chunks(n, field)
+        ]
+    )
 
 
 def rank_by_minors(mat, p):
@@ -204,11 +212,18 @@ class TestMinorGroups:
 
 class TestBorderedKernel:
     # (2, 97) is the largest field, where int16 elimination is tightest.
-    @pytest.mark.parametrize("n,p", [(0, 5), (1, 97), (2, 13), (2, 97), (3, 5), (4, 3)])
+    # n = 0 has no corner to tally: its histogram is returned before any walk.
+    @pytest.mark.parametrize(
+        "n,p", [(0, 5), (0, 97), (1, 97), (2, 13), (2, 97), (3, 5), (4, 3)]
+    )
     def test_matches_batched_matrix_for_matrix(self, n, p):
         field = PrimeField(p)
         idx = np.arange(p ** (n * (n + 1) // 2), dtype=np.int64)
         expected = _batched_rank(_dense_batch(idx, n, p), field)
+        if n == 0:
+            assert expected.tolist() == [0]
+            assert ffield.enumerate_rank_counts(0, field).counts == (1,)
+            return
         assert bordered_ranks(n, field).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("chunk", [7, 1, 100])
@@ -223,6 +238,19 @@ class TestBorderedKernel:
         monkeypatch.setattr(ffield, "_CHUNK", chunk)
         assert ffield.enumerate_rank_counts(n, field) == whole
         assert bordered_ranks(n, field).tolist() == ranks.tolist()
+
+    @pytest.mark.parametrize("chunk", [7, 1, 100])
+    @pytest.mark.parametrize("n,p", [(3, 3), (2, 5), (3, 5)])
+    def test_corner_tally_equals_per_matrix_ranks(self, n, p, chunk, monkeypatch):
+        # The histogram tallies each pair's p corners without ranking them
+        # one by one; it must equal the bincount of the rebuilt ranks. At
+        # (3, 5) a minor's 25 borders span 4 chunks of 7 and 25 of 1.
+        monkeypatch.setattr(ffield, "_CHUNK", chunk)
+        field = PrimeField(p)
+        ranks = bordered_ranks(n, field)
+        assert len(ranks) == p ** (n * (n + 1) // 2)
+        expected = tuple(np.bincount(ranks, minlength=n + 1).tolist())
+        assert ffield.enumerate_rank_counts(n, field).counts == expected
 
 
 class TestEnumerateRankCounts:
@@ -333,14 +361,15 @@ class TestFiberCensus:
             return batched_rank(dense, field)
 
         monkeypatch.setattr(ffield, "_batched_rank", recording)
-        # The histogram kernel's chunks hold at most max(_CHUNK, p).
+        # Every array of a histogram chunk holds at most _CHUNK
+        # (minor, border) pairs.
         bordered_rank_chunks = ffield._bordered_rank_chunks
         chunk_sizes = []
 
         def recording_chunks(n, field):
-            for ranks in bordered_rank_chunks(n, field):
-                chunk_sizes.append((ranks.size, field.p))
-                yield ranks
+            for arrays in bordered_rank_chunks(n, field):
+                chunk_sizes.extend(a.size for a in arrays)
+                yield arrays
 
         monkeypatch.setattr(ffield, "_bordered_rank_chunks", recording_chunks)
         for n, p in shapes:
@@ -349,7 +378,7 @@ class TestFiberCensus:
             assert sum(ffield.fiber_census(n, PrimeField(p)).table.values()) == total
             assert sum(ffield.enumerate_rank_counts(n, PrimeField(p)).counts) == total
         assert max(sizes) <= ffield._CHUNK
-        assert all(size <= max(ffield._CHUNK, p) for size, p in chunk_sizes)
+        assert max(chunk_sizes) <= ffield._CHUNK
 
     def test_marginals(self):
         field = PrimeField(3)

@@ -197,6 +197,26 @@ class TestReports:
         with pytest.raises(OddPrimeRequired):
             verify.run_full_suite(30, 5, (4,), 10**6)
 
+    @pytest.mark.parametrize(
+        "primes,named", [((3, 3), "3"), ([5, 3, 7, 5, 3], "3, 5")], ids=["one", "two"]
+    )
+    def test_repeated_prime_refused_before_any_check(self, primes, named, monkeypatch):
+        # A repeated prime would walk each of its censuses twice.
+        censuses = []
+
+        def counting_census(n, field, budget=ffield.DEFAULT_BUDGET):
+            censuses.append((n, field.p))
+            raise AssertionError("a census ran before the repeated prime was refused")
+
+        def no_symbolic_work(*args, **kwargs):
+            raise AssertionError("a check ran before the repeated prime was refused")
+
+        monkeypatch.setattr(ffield, "fiber_census", counting_census)
+        monkeypatch.setattr(motivic, "class_exact", no_symbolic_work)
+        with pytest.raises(ValueError, match=f"^primes repeat {named}$"):
+            verify.run_full_suite(2, 2, primes, 10**6)
+        assert censuses == []
+
     def test_summary_table_format(self):
         report = verify.run_full_suite(1, 1, [3], budget=10**4)
         table = verify.summary_table(report)
