@@ -175,9 +175,12 @@ def cmd_fibers(args) -> int:
         lines += [f"{args.n},{args.p},{r},{s},{c},{e},{v}" for r, s, c, e, v in rows]
         print("\n".join(lines))
     else:
-        print("minor_rank  full_rank  count  expected  verdict")
-        for r, s, c, e, v in rows:
-            print(f"{r:>10}  {s:>9}  {c:>5}  {e:>8}  {v}")
+        # Numbers right-aligned, each column as wide as its widest entry.
+        table = [("minor_rank", "full_rank", "count", "expected", "verdict")]
+        table += [tuple(map(str, row)) for row in rows]
+        widths = [max(len(line[i]) for line in table) for i in range(4)]
+        for line in table:
+            print("  ".join([cell.rjust(w) for cell, w in zip(line, widths)] + [line[4]]))
     ok = all(v == "MATCH" for *_, v in rows)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILURE
 

@@ -17,19 +17,22 @@ walker (:func:`_minor_groups`): each run of p^n consecutive indices
 shares one (n-1) x (n-1) minor, so a chunk is a group of whole minors
 times a slice of one decoded table of completing rows. Rank histograms
 (:func:`enumerate_rank_counts`) account for every matrix: they reduce
-each minor once by Gauss-Jordan, batched across minors, and then only
-each border (the first row and column below the corner) against it. The
-p corners of a (minor, border) pair change the rank only through whether
-the 1 x 1 corner a equals one value q, so each pair is tallied once for
-all p of them, in chunks of at most ``_CHUNK`` pairs. The fiber census
-ranks whole matrices with :func:`_batched_rank`, in lockstep, one pivot
-column at a time, in int16, which is exact because every entry stays in
-(-p^2, p^2) for p <= 97. It visits the completions of one minor per
-orbit of N -> cN, c in F_p^*, and counts them once per minor of the
-orbit: scaling a matrix by c keeps its rank and its minor's, which is
-linear algebra, not the filtration the census tests. The census
-marginals are checked against the histograms, so each kernel tests the
-other on a different walk.
+each minor once by Gauss-Jordan, batched across minors, and then test
+each border (the first row and column below the corner) against it by
+looking it up in a table of its dot products with the distinct rows of
+the group's reduction maps, at most 2(n-1) ``_CHUNK`` entries. The p
+corners of a (minor, border) pair change the rank only through whether
+the 1 x 1 corner a equals one value q, which exactly one a does, so each
+pair is tallied once for all p of them without computing q, in chunks of
+at most ``_CHUNK`` pairs. The fiber census ranks whole matrices with
+:func:`_batched_rank`, in lockstep, one pivot column at a time, in
+int16, which is exact because every entry stays in (-p^2, p^2) for
+p <= 97. It visits the completions of one minor per orbit of N -> cN,
+c in F_p^*, and counts them once per minor of the orbit: scaling a
+matrix by c keeps its rank and its minor's, which is linear algebra, not
+the filtration the census tests. The census marginals are checked
+against the histograms, so each kernel tests the other on a different
+walk.
 """
 
 from __future__ import annotations
@@ -321,21 +324,22 @@ def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
     -> ``[R | E]`` with E N = R, under the same pivot rule as
     :func:`_batched_rank`: each column's pivot is the first unused row
     with a nonzero entry there, rows are never swapped, and the pivot row
-    is scaled to a unit pivot and cleared from every other row.
+    is scaled to a unit pivot and cleared from every other row. It works
+    in int16, exact for the reason :func:`_batched_rank` is.
 
-    Returns the rank r of each minor, shape (m,), and the stacked maps
-    ``[Z; W; Q]``, shape (3k, m, k), with entries in [0, p):
+    Returns the rank r of each minor, shape (m,), and the rows of the
+    stacked maps ``[Z; W]`` as base-p keys (entry j is digit j), shape
+    (2k, m):
 
     - Z: the rows of E that are not pivot rows (pivot rows zeroed);
     - W = I - R^T S, with S[i, c] = 1 when row i pivots column c;
-      W b is b with its pivot-column entries cleared by R's pivot rows;
-    - Q = S^T E, so Q[c_i] = E[i] for the pivot row i of column c_i.
+      W b is b with its pivot-column entries cleared by R's pivot rows.
     """
     p = field.p
     m = minors.shape[0]
-    aug = np.zeros((k, 2 * k, m), dtype=np.int64)
+    aug = np.zeros((k, 2 * k, m), dtype=np.int16)
     aug[:, :k] = _dense_batch(minors, k, p)
-    aug[:, k:] = np.eye(k, dtype=np.int64)[:, :, None]
+    aug[:, k:] = np.eye(k, dtype=np.int16)[:, :, None]
     scratch = np.empty_like(aug)
     free = np.ones((k, m), dtype=bool)
     select = np.zeros((k, k, m), dtype=bool)  # S, batch last
@@ -349,7 +353,7 @@ def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
             found |= cand[i]
         free &= ~pivot
         # The pivot row scaled to a unit pivot; zero where there is none.
-        row = (aug * pivot[:, None, :]).sum(axis=0)
+        row = (aug * pivot[:, None, :]).sum(axis=0, dtype=np.int16)
         row *= field._inv_array[row[col]]
         _reduce(row, p, scratch[0])
         aug -= (aug[:, col] * ~pivot)[:, None, :] * row
@@ -359,77 +363,64 @@ def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
     maps = np.concatenate(
         [
             e * free[:, None, :],
-            np.eye(k, dtype=np.int64)[:, :, None] - np.einsum("ijm,ilm->jlm", reduced, select),
-            np.einsum("icm,ijm->cjm", select, e),
+            np.eye(k, dtype=np.int16)[:, :, None] - np.einsum("ijm,ilm->jlm", reduced, select),
         ]
     )
     _reduce(maps, p, np.empty_like(maps))
-    return k - free.sum(axis=0), np.moveaxis(maps, -1, 1)
+    return k - free.sum(axis=0), np.einsum("ijm,j->im", maps, p ** np.arange(k))
 
 
-def _border_ranks(
-    minor_rank: np.ndarray, maps: np.ndarray, borders: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ranks of the matrices [[a, b^T], [b, N]] for every minor N of a
-    :func:`_reduce_minors` batch, every border b among the columns of
-    ``borders`` (k, nb) and every a in F_p.
-
-    Clearing row 0 and column 0 against R's unit pivots leaves an r x r
-    identity block beside [[a - q, w^T], [u, 0]], where u = Z b,
-    w = W b and q = b^T Q b, so the rank is
-    r + [u != 0] + [w != 0] + [u = 0 and w = 0 and a != q].
-
-    Returns three flat arrays over the (minor, border) pairs, minor-major:
-    ``base`` = r + [u != 0] + [w != 0], ``corner_free`` = (u = 0 and
-    w = 0), and ``q``. The matrix with corner a has rank
-    base + corner_free * [a != q]; the p corners of a pair run
-    consecutively in packed-index order.
+def _nonzero_table(rows: np.ndarray, borders: np.ndarray, p: int) -> np.ndarray:
+    """Whether each of the (d, k) ``rows`` has a nonzero dot product mod p
+    with each border among the columns of ``borders`` (k, nb): a (d, nb)
+    table, from one float32 matmul. Entries are integers below p, so every
+    dot product is at most k (p-1)^2, below 2^24, and exact in float32.
     """
-    rows, m, k = maps.shape
-    nb = borders.shape[1]
-    float_maps = maps.astype(np.float32)
-    float_borders = borders.astype(np.float32)
-    scratch = np.empty((m, nb), dtype=np.int32)
+    dots = rows.astype(np.float32) @ borders.astype(np.float32)
+    return np.fmod(dots, p) != 0
 
-    def image(row: int) -> np.ndarray:
-        # Entries are integers below p, so each float32 dot product
-        # (< k p^2, far below 2^24) is exact.
-        x = (float_maps[row] @ float_borders).astype(np.int32)
-        _reduce(x, p, scratch)
-        return x
 
-    u_nonzero = np.zeros((m, nb), dtype=bool)
-    w_nonzero = np.zeros((m, nb), dtype=bool)
-    q = np.zeros((m, nb), dtype=np.int32)
-    for i in range(k):
-        u_nonzero |= image(i) != 0
-        w_nonzero |= image(k + i) != 0
-        q += image(2 * k + i) * borders[i]
-    _reduce(q, p, scratch)
-    base = u_nonzero.astype(np.int64)
-    base += w_nonzero
-    base += minor_rank[:, None]
-    corner_free = ~(u_nonzero | w_nonzero)
-    return base.ravel(), corner_free.ravel(), q.ravel()
+def _any_row(table: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """For each column j of ``where`` (t, m), the OR of the t rows
+    ``table[where[:, j]]``: shape (m, nb), all False when t = 0."""
+    out = np.zeros((where.shape[1], table.shape[1]), dtype=bool)
+    for keys in where:
+        out |= table[keys]
+    return out
 
 
 def _bordered_rank_chunks(n: int, field: PrimeField):
-    """Ranks of all p^(n(n+1)/2) symmetric n x n matrices, n >= 1, as
-    :func:`_border_ranks` triples of at most ``_CHUNK`` (minor, border)
-    pairs each; read pair by pair and chunk by chunk, with each pair's p
-    corners in turn, they run in packed-index order.
+    """The (minor, border) pairs of all p^(n(n+1)/2) symmetric n x n
+    matrices, n >= 1, in chunks of at most ``_CHUNK`` pairs, each chunk a
+    triple ``(minor_rank, u_nonzero, w_nonzero)`` of shapes (m,), (m, nb)
+    and (m, nb) for the m minors of a :func:`_minor_groups` group and one
+    slice of nb borders. Read minor-major and chunk by chunk, the pairs
+    run in packed-index order, each standing for its p corners.
 
-    Every (n-1) x (n-1) minor of a :func:`_minor_groups` group is
-    eliminated once (:func:`_reduce_minors`); each completion then
-    reduces only its border, whose p corners differ only in whether the
-    1 x 1 corner a equals q.
+    The matrix [[a, b^T], [b, N]] reduces, against R's unit pivots, to an
+    r x r identity block beside [[a - q, w^T], [u, 0]], where u = Z b,
+    w = W b (:func:`_reduce_minors`) and q = b^T S^T E b. So its rank is
+    r + [u != 0] + [w != 0] + [u = 0 and w = 0 and a != q]: one corner of
+    a pair with u = w = 0 keeps rank r and the other p - 1 have r + 1,
+    whatever q is, so q is never computed.
+
+    Every minor of a group is eliminated once. The group's 2k m rows of Z
+    and W take at most min(p^k, 2k m) distinct values, and each border
+    slice is tested against those once (:func:`_nonzero_table`), so a
+    table holds at most 2k ``_CHUNK`` entries; u != 0 and w != 0 are then
+    ORs of k gathered table rows each.
     """
     p = field.p
     k = n - 1
     for minors, border_slices in _minor_groups(k, k, _CHUNK, p):
-        minor_rank, maps = _reduce_minors(minors, k, field)
+        minor_rank, keys = _reduce_minors(minors, k, field)
+        present = np.zeros(p**k, dtype=bool)
+        present[keys] = True
+        rows = _decode_digits(np.flatnonzero(present), k, p).T
+        where = (np.cumsum(present) - 1)[keys]  # each key's row of the table
         for borders in border_slices:
-            yield _border_ranks(minor_rank, maps, borders, p)
+            table = _nonzero_table(rows, borders, p)
+            yield minor_rank, _any_row(table, where[:k]), _any_row(table, where[k:])
 
 
 def enumerate_rank_counts(
@@ -438,10 +429,11 @@ def enumerate_rank_counts(
     """Exhaustive rank histogram over all p^(n(n+1)/2) symmetric matrices,
     ranked by bordered elimination (:func:`_bordered_rank_chunks`).
 
-    Each (minor, border) pair stands for its p corners: all at its base
-    rank unless it is corner-free, and then one (a = q) at base and p - 1
-    at base + 1. Raises :class:`BudgetExceeded` with the exact required
-    visit count if the space is larger than ``budget``.
+    Each (minor, border) pair stands for its p corners: all p at rank
+    r + [u != 0] + [w != 0] when u or w is nonzero, else one at r and
+    p - 1 at r + 1. The pairs of each kind are counted per minor rank r.
+    Raises :class:`BudgetExceeded` with the exact required visit count if
+    the space is larger than ``budget``.
     """
     if n < 0:
         raise ValueError(f"matrix size must be >= 0, got {n}")
@@ -449,13 +441,22 @@ def enumerate_rank_counts(
     _space_size(n, p, budget)
     if n == 0:
         return RankHistogram(0, p, (1,))
-    # Slot 2 * base + corner_free tallies the pairs of each kind.
-    pairs = np.zeros(2 * (n + 1), dtype=np.int64)
-    for base, corner_free, _ in _bordered_rank_chunks(n, field):
-        pairs += np.bincount(2 * base + corner_free, minlength=len(pairs))
-    plain, free = pairs[0::2], pairs[1::2]
-    counts = p * plain + free  # a free pair's corner a = q keeps its base rank
-    counts[1:] += (p - 1) * free[:-1]  # and its other p - 1 corners add one
+    # Column r: pairs over rank-r minors, and those of them with u != 0,
+    # with w != 0 and with both.
+    tally = np.zeros((4, n), dtype=np.int64)
+    for minor_rank, u_nonzero, w_nonzero in _bordered_rank_chunks(n, field):
+        # A chunk's counts are at most _CHUNK, so int32 holds them.
+        per_minor = np.empty((4, len(minor_rank)), dtype=np.int32)
+        per_minor[0] = u_nonzero.shape[1]
+        for row, nonzero in zip(per_minor[1:], (u_nonzero, w_nonzero, u_nonzero & w_nonzero)):
+            nonzero.sum(axis=1, out=row)  # count_nonzero over the borders
+        tally += per_minor @ (minor_rank[:, None] == np.arange(n))
+    pairs, u, w, both = tally
+    free = pairs - u - w + both
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[:-1] += free  # a free pair's corner a = q keeps rank r
+    counts[1:] += (p - 1) * free + p * (u + w - 2 * both)
+    counts[2:] += p * both[:-1]  # a full-rank minor has u = w = 0
     return RankHistogram(n, p, tuple(int(c) for c in counts))
 
 

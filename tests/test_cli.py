@@ -226,6 +226,22 @@ class TestFibersCommand:
         assert len(lines) == 6
         assert all(line.endswith("MATCH") for line in lines[1:])
 
+    def test_text_columns_fit_their_widest_entry(self, capsys):
+        # At (3, 13) counts reach 7 digits, wider than "count": every
+        # number must sit right-aligned in its column, under its label,
+        # and every verdict start where "verdict" starts.
+        code, out, _ = run(capsys, "fibers", "--n", "3", "--p", "13")
+        assert code == 0
+        header, *lines = out.splitlines()
+        ends = [header.index(label) + len(label) for label in header.split()]
+        starts = [0] + [end + 2 for end in ends[:-1]]
+        assert len(lines) == 8
+        for line in lines:
+            fields = line.split()
+            for field, start, end in zip(fields, starts, ends[:-1]):
+                assert line[start : end + 2] == field.rjust(end - start) + "  "
+            assert line[starts[-1] :] == fields[-1] == "MATCH"
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "fibers", "--n", "2", "--p", "3", "--format", "csv")
         assert code == 0

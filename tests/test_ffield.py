@@ -36,17 +36,29 @@ def det_mod(rows, cols, mat, p):
     return total % p
 
 
-def bordered_ranks(n, field):
-    """Per-matrix ranks of the histogram kernel, in packed-index order:
-    each (minor, border) pair's p corners a, in turn, rank
-    base + corner_free * [a != q]."""
-    corners = np.arange(field.p)
-    return np.concatenate(
-        [
-            (base[:, None] + (corner_free[:, None] & (corners != q[:, None]))).ravel()
-            for base, corner_free, q in ffield._bordered_rank_chunks(n, field)
-        ]
-    )
+def bordered_pairs(n, field):
+    """The histogram kernel's (minor, border) pairs in packed-index order,
+    as two flat arrays: base = r + [u != 0] + [w != 0], and corner_free =
+    (u = 0 and w = 0)."""
+    chunks = list(ffield._bordered_rank_chunks(n, field))
+    base = [(r[:, None] + u + w).ravel() for r, u, w in chunks]
+    corner_free = [~(u | w).ravel() for _, u, w in chunks]
+    return np.concatenate(base), np.concatenate(corner_free)
+
+
+def assert_pairs_rank_their_corners(n, field):
+    """Ranks every matrix of the space with _batched_rank, in packed order,
+    and requires each pair's p corners, sorted, to rank [base] * p, or
+    [base] + [base + 1] * (p - 1) when the pair is corner-free. Returns
+    the ranks."""
+    p = field.p
+    idx = np.arange(p ** (n * (n + 1) // 2), dtype=np.int64)
+    ranks = _batched_rank(_dense_batch(idx, n, p), field)
+    base, corner_free = bordered_pairs(n, field)
+    expected = np.repeat(base[:, None], p, axis=1)
+    expected[:, 1:] += corner_free[:, None]
+    assert np.array_equal(np.sort(ranks.reshape(-1, p), axis=1), expected)
+    return ranks
 
 
 def rank_by_minors(mat, p):
@@ -218,13 +230,11 @@ class TestBorderedKernel:
     )
     def test_matches_batched_matrix_for_matrix(self, n, p):
         field = PrimeField(p)
-        idx = np.arange(p ** (n * (n + 1) // 2), dtype=np.int64)
-        expected = _batched_rank(_dense_batch(idx, n, p), field)
         if n == 0:
-            assert expected.tolist() == [0]
+            assert _batched_rank(_dense_batch(np.arange(1), 0, p), field).tolist() == [0]
             assert ffield.enumerate_rank_counts(0, field).counts == (1,)
             return
-        assert bordered_ranks(n, field).tolist() == expected.tolist()
+        assert_pairs_rank_their_corners(n, field)
 
     @pytest.mark.parametrize("chunk", [7, 1, 100])
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 5)])
@@ -234,23 +244,38 @@ class TestBorderedKernel:
         # 4 at (2, 5), where the last chunk holds the one minor left.
         field = PrimeField(p)
         whole = ffield.enumerate_rank_counts(n, field)
-        ranks = bordered_ranks(n, field)
+        base, corner_free = bordered_pairs(n, field)
         monkeypatch.setattr(ffield, "_CHUNK", chunk)
         assert ffield.enumerate_rank_counts(n, field) == whole
-        assert bordered_ranks(n, field).tolist() == ranks.tolist()
+        chunked = bordered_pairs(n, field)
+        assert np.array_equal(chunked[0], base)
+        assert np.array_equal(chunked[1], corner_free)
 
     @pytest.mark.parametrize("chunk", [7, 1, 100])
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 5), (3, 5)])
     def test_corner_tally_equals_per_matrix_ranks(self, n, p, chunk, monkeypatch):
         # The histogram tallies each pair's p corners without ranking them
-        # one by one; it must equal the bincount of the rebuilt ranks. At
-        # (3, 5) a minor's 25 borders span 4 chunks of 7 and 25 of 1.
+        # one by one; each pair must rank its own corners, and the
+        # histogram must equal the bincount of the ranks. At (3, 5) a
+        # minor's 25 borders span 4 chunks of 7 and 25 of 1.
         monkeypatch.setattr(ffield, "_CHUNK", chunk)
         field = PrimeField(p)
-        ranks = bordered_ranks(n, field)
-        assert len(ranks) == p ** (n * (n + 1) // 2)
+        ranks = assert_pairs_rank_their_corners(n, field)
         expected = tuple(np.bincount(ranks, minlength=n + 1).tolist())
         assert ffield.enumerate_rank_counts(n, field).counts == expected
+
+    def test_dot_products_exact_in_float32(self):
+        # The dot table's float32 matmul is exact while a dot product of
+        # two vectors of n - 1 entries in [0, p), at most (n-1)(p-1)^2, is
+        # below 2^24, for every space an accepted budget can admit.
+        spaces = 0
+        for p in (p for p in range(3, 98, 2) if ffield._is_prime(p)):
+            n = 2
+            while p ** (n * (n + 1) // 2) <= ffield.MAX_BUDGET:
+                assert (n - 1) * (p - 1) ** 2 < 2**24
+                spaces += 1
+                n += 1
+        assert spaces >= 24  # at least n = 2 and 3 for each of the 24 primes
 
 
 class TestEnumerateRankCounts:
@@ -372,11 +397,24 @@ class TestFiberCensus:
                 yield arrays
 
         monkeypatch.setattr(ffield, "_bordered_rank_chunks", recording_chunks)
+        # No dot table of a walk at size n holds more than 2(n-1) _CHUNK
+        # entries: at most 2(n-1) m distinct rows by nb borders.
+        nonzero_table = ffield._nonzero_table
+        table_sizes = []
+
+        def recording_table(rows, borders, p):
+            table = nonzero_table(rows, borders, p)
+            table_sizes.append(table.size)
+            return table
+
+        monkeypatch.setattr(ffield, "_nonzero_table", recording_table)
         for n, p in shapes:
             total = p ** (n * (n + 1) // 2)
             assert total > ffield._CHUNK
             assert sum(ffield.fiber_census(n, PrimeField(p)).table.values()) == total
+            table_sizes.clear()
             assert sum(ffield.enumerate_rank_counts(n, PrimeField(p)).counts) == total
+            assert 0 < max(table_sizes) <= 2 * (n - 1) * ffield._CHUNK
         assert max(sizes) <= ffield._CHUNK
         assert max(chunk_sizes) <= ffield._CHUNK
 
