@@ -1,10 +1,10 @@
 """Brute-force counting oracle over small prime fields of odd characteristic.
 
-Everything the symbolic layer claims is checked here by exhaustive
-enumeration: every symmetric n x n matrix over F_p is accounted for, its
-rank computed by Gaussian elimination, and the tallies compared against
-the polynomial predictions. Nothing in this module knows the formulas it
-is used to falsify.
+Everything the symbolic layer claims is checked here by exact point
+counting: every symmetric n x n matrix over F_p is counted, ranked by
+Gaussian elimination or as a scalar multiple of one that is, and the
+tallies compared against the polynomial predictions. Nothing in this
+module knows the formulas it is used to falsify.
 
 Matrices are packed as their upper triangle in row-major order, so entry
 (0, 0) comes first, the rest of the first row next, and the minor
@@ -13,26 +13,26 @@ slots. Enumeration is lexicographic with the first packed entry varying
 fastest, which makes every traversal reproducible.
 
 The per-matrix work is vectorized with numpy. Both kernels share one
-walker (:func:`_minor_groups`): each run of p^n consecutive indices
-shares one (n-1) x (n-1) minor, so a chunk is a group of whole minors
-times a slice of one decoded table of completing rows. Rank histograms
-(:func:`enumerate_rank_counts`) account for every matrix: they reduce
-each minor once by Gauss-Jordan, batched across minors, and then test
-each border (the first row and column below the corner) against it by
-looking it up in a table of its dot products with the distinct rows of
-the group's reduction maps, at most 2(n-1) ``_CHUNK`` entries. The p
+walk (:func:`_minor_groups`) and differ only in elimination. It takes
+one (n-1) x (n-1) minor N per orbit of N -> cN, c in F_p^*, and counts
+its tally once per minor of the orbit: scaling [[a, b^T], [b, N]] by c
+maps the p^n matrices over N one to one onto those over cN and keeps
+every rank, which is linear algebra, not the filtration the oracle
+tests. A chunk is a group of walked minors times a slice of one decoded
+table of completing rows. Rank histograms (:func:`enumerate_rank_counts`)
+reduce each minor once by Gauss-Jordan, batched across minors, and then
+test each border (the first row and column below the corner) against it
+by looking it up in a table of its dot products with the distinct rows
+of the group's reduction maps, at most 2(n-1) ``_CHUNK`` entries. The p
 corners of a (minor, border) pair change the rank only through whether
 the 1 x 1 corner a equals one value q, which exactly one a does, so each
 pair is tallied once for all p of them without computing q, in chunks of
 at most ``_CHUNK`` pairs. The fiber census ranks whole matrices with
 :func:`_batched_rank`, in lockstep, one pivot column at a time, in
 int16, which is exact because every entry stays in (-p^2, p^2) for
-p <= 97. It visits the completions of one minor per orbit of N -> cN,
-c in F_p^*, and counts them once per minor of the orbit: scaling a
-matrix by c keeps its rank and its minor's, which is linear algebra, not
-the filtration the census tests. The census marginals are checked
-against the histograms, so each kernel tests the other on a different
-walk.
+p <= 97. The walk is checked from outside: by the point counts against
+the formula, and by the tests' tallies of every matrix of the space.
+Budgets bound the space's size p^(n(n+1)/2), never the pairs ranked.
 """
 
 from __future__ import annotations
@@ -288,32 +288,27 @@ def _batched_rank(dense: np.ndarray, field: PrimeField) -> np.ndarray:
     return rank
 
 
-def _minor_groups(k: int, width: int, span: int, p: int, orbits: bool = False):
-    """Every k x k minor times every one of the p^width completing rows, in
-    packed-index order (index = minor * p^width + row: the first row fills
-    the low packed digits). Yields (minors, slices): the packed indices of
-    max(1, span // p^width) whole minors, and, the same for every group,
-    slices of at most ``span`` columns of one digit-major table of all the
-    rows (:func:`_decode_digits`). A group times a slice is at most ``span``
-    matrices.
-
-    With ``orbits``, the walk takes one minor from each orbit of N -> cN,
-    c in F_p^*: the zero minor, an orbit of its own, in a group of its own,
-    then each minor whose highest nonzero packed digit is 1, i.e. the
-    indices [p^t, 2 p^t) for t < k(k+1)/2, each one of an orbit of p - 1.
+def _minor_groups(k: int, width: int, span: int, p: int):
+    """One k x k minor per orbit of N -> cN, c in F_p^*, times every one
+    of the p^width completing rows (index = minor * p^width + row: the
+    first row fills the low packed digits). Yields (minors, weight,
+    slices): the packed indices of a group of minors, the size of their
+    orbits, and, the same for every group, slices of at most ``span``
+    columns of one digit-major table of all the rows
+    (:func:`_decode_digits`). A group times a slice is at most ``span``
+    matrices. First comes the zero minor, an orbit of its own, alone with
+    weight 1; then the minors whose highest nonzero packed digit is 1,
+    the indices [p^t, 2 p^t) for t < k(k+1)/2, with weight p - 1, cut
+    into groups of max(1, span // p^width) across the runs of t.
     """
     rows = p**width
     table = _decode_digits(np.arange(rows, dtype=np.int64), width, p)
     slices = [table[:, lo : lo + span] for lo in range(0, rows, span)]
     group = max(1, span // rows)
-    digits = _triangle(k)
-    if orbits:
-        runs = [(0, 1)] + [(p**t, 2 * p**t) for t in range(digits)]
-    else:
-        runs = [(0, p**digits)]
-    for lo, hi in runs:
-        for start in range(lo, hi, group):
-            yield np.arange(start, min(start + group, hi), dtype=np.int64), slices
+    minors = np.concatenate([[0]] + [np.arange(p**t, 2 * p**t) for t in range(_triangle(k))])
+    yield minors[:1], 1, slices
+    for lo in range(1, len(minors), group):
+        yield minors[lo : lo + group], p - 1, slices
 
 
 def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
@@ -390,12 +385,14 @@ def _any_row(table: np.ndarray, where: np.ndarray) -> np.ndarray:
 
 
 def _bordered_rank_chunks(n: int, field: PrimeField):
-    """The (minor, border) pairs of all p^(n(n+1)/2) symmetric n x n
-    matrices, n >= 1, in chunks of at most ``_CHUNK`` pairs, each chunk a
-    triple ``(minor_rank, u_nonzero, w_nonzero)`` of shapes (m,), (m, nb)
-    and (m, nb) for the m minors of a :func:`_minor_groups` group and one
+    """The (minor, border) pairs of the symmetric n x n matrices, n >= 1,
+    over one minor per scaling orbit (:func:`_minor_groups`), in chunks of
+    at most ``_CHUNK`` pairs, each chunk a tuple ``(weight, minor_rank,
+    u_nonzero, w_nonzero)``: the orbit size of the group's minors, then
+    arrays of shapes (m,), (m, nb) and (m, nb) for its m minors and one
     slice of nb borders. Read minor-major and chunk by chunk, the pairs
-    run in packed-index order, each standing for its p corners.
+    run in packed-index order over the walked minors, each standing for
+    its p corners.
 
     The matrix [[a, b^T], [b, N]] reduces, against R's unit pivots, to an
     r x r identity block beside [[a - q, w^T], [u, 0]], where u = Z b,
@@ -412,7 +409,7 @@ def _bordered_rank_chunks(n: int, field: PrimeField):
     """
     p = field.p
     k = n - 1
-    for minors, border_slices in _minor_groups(k, k, _CHUNK, p):
+    for minors, weight, border_slices in _minor_groups(k, k, _CHUNK, p):
         minor_rank, keys = _reduce_minors(minors, k, field)
         present = np.zeros(p**k, dtype=bool)
         present[keys] = True
@@ -420,18 +417,20 @@ def _bordered_rank_chunks(n: int, field: PrimeField):
         where = (np.cumsum(present) - 1)[keys]  # each key's row of the table
         for borders in border_slices:
             table = _nonzero_table(rows, borders, p)
-            yield minor_rank, _any_row(table, where[:k]), _any_row(table, where[k:])
+            yield weight, minor_rank, _any_row(table, where[:k]), _any_row(table, where[k:])
 
 
 def enumerate_rank_counts(
     n: int, field: PrimeField, budget: int = DEFAULT_BUDGET
 ) -> RankHistogram:
-    """Exhaustive rank histogram over all p^(n(n+1)/2) symmetric matrices,
-    ranked by bordered elimination (:func:`_bordered_rank_chunks`).
+    """Rank histogram of all p^(n(n+1)/2) symmetric matrices, ranked by
+    bordered elimination (:func:`_bordered_rank_chunks`) over one minor
+    per scaling orbit.
 
     Each (minor, border) pair stands for its p corners: all p at rank
     r + [u != 0] + [w != 0] when u or w is nonzero, else one at r and
-    p - 1 at r + 1. The pairs of each kind are counted per minor rank r.
+    p - 1 at r + 1. The pairs of each kind are counted per minor rank r,
+    and each chunk's integer tally is multiplied by its orbit weight.
     Raises :class:`BudgetExceeded` with the exact required visit count if
     the space is larger than ``budget``.
     """
@@ -444,13 +443,13 @@ def enumerate_rank_counts(
     # Column r: pairs over rank-r minors, and those of them with u != 0,
     # with w != 0 and with both.
     tally = np.zeros((4, n), dtype=np.int64)
-    for minor_rank, u_nonzero, w_nonzero in _bordered_rank_chunks(n, field):
+    for weight, minor_rank, u_nonzero, w_nonzero in _bordered_rank_chunks(n, field):
         # A chunk's counts are at most _CHUNK, so int32 holds them.
         per_minor = np.empty((4, len(minor_rank)), dtype=np.int32)
         per_minor[0] = u_nonzero.shape[1]
         for row, nonzero in zip(per_minor[1:], (u_nonzero, w_nonzero, u_nonzero & w_nonzero)):
             nonzero.sum(axis=1, out=row)  # count_nonzero over the borders
-        tally += per_minor @ (minor_rank[:, None] == np.arange(n))
+        tally += weight * (per_minor @ (minor_rank[:, None] == np.arange(n))).astype(np.int64)
     pairs, u, w, both = tally
     free = pairs - u - w + both
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -462,8 +461,8 @@ def enumerate_rank_counts(
 
 def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> FiberCensus:
     """Joint (minor rank, full rank) tally over the whole space, ranking
-    the fiber of one minor per scaling orbit (see the module docstring)
-    and counting it once for the zero minor, p - 1 times for any other.
+    the fiber of one minor per scaling orbit (:func:`_minor_groups`) and
+    counting it once for the zero minor, p - 1 times for any other.
 
     The 0 x 0 minor of a 1 x 1 matrix counts as rank 0, so the n = 1
     census degenerates gracefully.
@@ -477,8 +476,7 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
     # Both reused by every chunk; made before any per-group array (fewer page faults).
     dense = np.empty((n, n, _CHUNK), dtype=np.int16)
     scratch = _ScratchField(p, n, _CHUNK)
-    for minor_idx, row_slices in _minor_groups(n - 1, n, _CHUNK, p, orbits=True):
-        orbit = p - 1 if minor_idx[0] else 1
+    for minor_idx, weight, row_slices in _minor_groups(n - 1, n, _CHUNK, p):
         minors = _dense_batch(minor_idx, n - 1, p)
         minor_ranks = _batched_rank(minors, scratch) * base
         for rows in row_slices:
@@ -489,7 +487,7 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
             batch[1:, 1:] = minors[..., None]
             ranks = _batched_rank(flat, scratch)
             tally = np.bincount(np.repeat(minor_ranks, rows.shape[1]) + ranks, minlength=len(acc))
-            acc += orbit * tally
+            acc += weight * tally
     table: dict[tuple[int, int], int] = {}
     for r in range(n + 1):
         for s in range(n + 1):

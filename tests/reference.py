@@ -3,8 +3,10 @@
 A symmetric matrix type over packed upper triangles and a one-matrix
 Gaussian elimination, kept apart from ``symrank.ffield`` so that the
 tests compare both vectorized kernels against code they do not share;
-the fiber census over every matrix of the space, which the census over
-scaling orbits must reproduce; and the JSON object of a class, which
+the rank histogram and the fiber census over every matrix of the space,
+which the package's two kernels must reproduce: both walk one minor per
+scaling orbit, and outside the tests only the point counts against the
+formula check that walk; and the JSON object of a class, which
 ``json.dumps`` renders as the bytes ``MotivicClass.to_json`` must
 reproduce.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from symrank.ffield import FiberCensus, PrimeField, _batched_rank, _dense_batch
+from symrank.ffield import FiberCensus, PrimeField, RankHistogram, _batched_rank, _dense_batch
 from symrank.motivic import MotivicClass
 
 
@@ -102,12 +104,24 @@ def rank(m: SymMatrix, field: PrimeField) -> int:
     return r
 
 
+def _full_space(n: int, p: int) -> np.ndarray:
+    return _dense_batch(np.arange(p ** _triangle(n), dtype=np.int64), n, p)
+
+
+def full_walk_histogram(n: int, field: PrimeField) -> RankHistogram:
+    """The rank tally of every one of the p^(n(n+1)/2) matrices, ranked in
+    one batch by the whole-matrix kernel (which the tests hold to
+    :func:`rank`)."""
+    ranks = _batched_rank(_full_space(n, field.p), field)
+    return RankHistogram(n, field.p, tuple(np.bincount(ranks, minlength=n + 1).tolist()))
+
+
 def full_walk_census(n: int, field: PrimeField) -> FiberCensus:
     """The (minor rank, full rank) tally of every one of the p^(n(n+1)/2)
     matrices, each and its minor ranked in one batch by the whole-matrix
     kernel (which the tests hold to :func:`rank`)."""
     p = field.p
-    dense = _dense_batch(np.arange(p ** _triangle(n), dtype=np.int64), n, p)
+    dense = _full_space(n, p)
     full = _batched_rank(dense, field).tolist()
     minor = _batched_rank(dense[1:, 1:], field).tolist()
     return FiberCensus(n, p, dict(Counter(zip(minor, full))))

@@ -37,28 +37,41 @@ def det_mod(rows, cols, mat, p):
 
 
 def bordered_pairs(n, field):
-    """The histogram kernel's (minor, border) pairs in packed-index order,
-    as two flat arrays: base = r + [u != 0] + [w != 0], and corner_free =
-    (u = 0 and w = 0)."""
+    """The histogram kernel's (minor, border) pairs in packed-index order
+    over the walked minors, as three flat arrays: base = r + [u != 0] +
+    [w != 0], corner_free = (u = 0 and w = 0), and the orbit weight."""
     chunks = list(ffield._bordered_rank_chunks(n, field))
-    base = [(r[:, None] + u + w).ravel() for r, u, w in chunks]
-    corner_free = [~(u | w).ravel() for _, u, w in chunks]
-    return np.concatenate(base), np.concatenate(corner_free)
+    base = [(r[:, None] + u + w).ravel() for _, r, u, w in chunks]
+    corner_free = [~(u | w).ravel() for _, _, u, w in chunks]
+    weights = [np.full(u.size, weight) for weight, _, u, _ in chunks]
+    return np.concatenate(base), np.concatenate(corner_free), np.concatenate(weights)
+
+
+def walked_matrices(n, p):
+    """The packed indices of every matrix over each minor the walk takes,
+    in packed order, and the orbit weight of each."""
+    groups = list(ffield._minor_groups(n - 1, n - 1, ffield._CHUNK, p))
+    minors = np.concatenate([minors for minors, _, _ in groups])
+    weights = np.concatenate([np.full(len(minors), weight) for minors, weight, _ in groups])
+    idx = (minors[:, None] * p**n + np.arange(p**n)).ravel()
+    return idx, np.repeat(weights, p**n)
 
 
 def assert_pairs_rank_their_corners(n, field):
-    """Ranks every matrix of the space with _batched_rank, in packed order,
-    and requires each pair's p corners, sorted, to rank [base] * p, or
-    [base] + [base + 1] * (p - 1) when the pair is corner-free. Returns
-    the ranks."""
+    """Ranks every matrix over each walked minor with _batched_rank, in
+    packed order, and requires each pair's p corners, sorted, to rank
+    [base] * p, or [base] + [base + 1] * (p - 1) when the pair is
+    corner-free, and each pair to carry its minor's orbit weight. Returns
+    the ranks and the weight of each."""
     p = field.p
-    idx = np.arange(p ** (n * (n + 1) // 2), dtype=np.int64)
+    idx, weights = walked_matrices(n, p)
     ranks = _batched_rank(_dense_batch(idx, n, p), field)
-    base, corner_free = bordered_pairs(n, field)
+    base, corner_free, pair_weights = bordered_pairs(n, field)
     expected = np.repeat(base[:, None], p, axis=1)
     expected[:, 1:] += corner_free[:, None]
     assert np.array_equal(np.sort(ranks.reshape(-1, p), axis=1), expected)
-    return ranks
+    assert np.array_equal(np.repeat(pair_weights, p), weights)
+    return ranks, weights
 
 
 def rank_by_minors(mat, p):
@@ -187,31 +200,36 @@ class TestMinorGroups:
         + [(0, 3, 97, 1 << 16)],
     )
     def test_visits_every_matrix_once_in_packed_order(self, k, width, p, span):
+        # Every matrix over each walked minor, each once, in packed order.
         rows = p**width
         weights = p ** np.arange(width, dtype=np.int64)
-        visited, sizes = [], []
-        for minors, slices in ffield._minor_groups(k, width, span, p):
+        walked, visited, sizes = [], [], []
+        for minors, _, slices in ffield._minor_groups(k, width, span, p):
+            walked.append(minors)
             for table in slices:
                 visited.append((minors[:, None] * rows + weights @ table).ravel())
                 sizes.append(len(minors) * table.shape[1])
-        total = p ** (k * (k + 1) // 2 + width)
-        assert np.array_equal(np.concatenate(visited), np.arange(total))
+        over_walked = np.concatenate(walked)[:, None] * rows + np.arange(rows)
+        assert np.array_equal(np.concatenate(visited), over_walked.ravel())
         assert max(sizes) <= span
 
     @pytest.mark.parametrize("span", [1, 7, 100])
     @pytest.mark.parametrize("k,p", [(0, 3), (1, 5), (2, 3), (2, 5), (3, 3)])
     def test_orbit_walk_takes_one_minor_per_scaling_orbit(self, k, p, span):
         t = k * (k + 1) // 2
-        groups = list(ffield._minor_groups(k, k + 1, span, p, orbits=True))
-        minors = np.concatenate([group for group, _ in groups]).tolist()
+        groups = list(ffield._minor_groups(k, k + 1, span, p))
+        minors = np.concatenate([group for group, _, _ in groups]).tolist()
         assert len(minors) == 1 + (p**t - 1) // (p - 1)
         assert minors == sorted(set(minors))
-        # The zero minor is an orbit, and a group, of its own.
+        # The zero minor is an orbit, and a group, of its own; the other
+        # groups are cut from one run, so only the last may be short.
         assert groups[0][0].tolist() == [0]
+        assert all(len(group) == max(1, span // p ** (k + 1)) for group, _, _ in groups[1:-1])
         weights = 0
         multiples = set()
-        for group, slices in groups:
-            weights += len(group) * (p - 1 if group[0] else 1)
+        for group, weight, slices in groups:
+            assert weight == (p - 1 if group[0] else 1)
+            weights += len(group) * weight
             assert max(len(group) * table.shape[1] for table in slices) <= span
             for m in group.tolist():
                 entries = SymMatrix.from_index(k, p, m).entries
@@ -240,28 +258,29 @@ class TestBorderedKernel:
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 5)])
     def test_chunk_size_changes_no_rank(self, n, p, chunk, monkeypatch):
         # 7 and 1 split each minor's borders across chunks (1 down to one
-        # border per chunk); 100 groups 3 minors per chunk at (3, 3), and
-        # 4 at (2, 5), where the last chunk holds the one minor left.
+        # border per chunk); 100 groups up to 11 minors per chunk, so the
+        # 13 nonzero walked minors at (3, 3) fall into groups of 11 and 2,
+        # and at (2, 5) the walk holds only the minors 0 and 1.
         field = PrimeField(p)
         whole = ffield.enumerate_rank_counts(n, field)
-        base, corner_free = bordered_pairs(n, field)
+        pairs = bordered_pairs(n, field)
         monkeypatch.setattr(ffield, "_CHUNK", chunk)
         assert ffield.enumerate_rank_counts(n, field) == whole
-        chunked = bordered_pairs(n, field)
-        assert np.array_equal(chunked[0], base)
-        assert np.array_equal(chunked[1], corner_free)
+        for chunked, whole_walk in zip(bordered_pairs(n, field), pairs):
+            assert np.array_equal(chunked, whole_walk)
 
     @pytest.mark.parametrize("chunk", [7, 1, 100])
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 5), (3, 5)])
     def test_corner_tally_equals_per_matrix_ranks(self, n, p, chunk, monkeypatch):
         # The histogram tallies each pair's p corners without ranking them
         # one by one; each pair must rank its own corners, and the
-        # histogram must equal the bincount of the ranks. At (3, 5) a
-        # minor's 25 borders span 4 chunks of 7 and 25 of 1.
+        # histogram must equal the bincount of the ranks, each counted
+        # once per minor of its orbit. At (3, 5) a minor's 25 borders span
+        # 4 chunks of 7 and 25 of 1.
         monkeypatch.setattr(ffield, "_CHUNK", chunk)
         field = PrimeField(p)
-        ranks = assert_pairs_rank_their_corners(n, field)
-        expected = tuple(np.bincount(ranks, minlength=n + 1).tolist())
+        ranks, weights = assert_pairs_rank_their_corners(n, field)
+        expected = tuple(np.bincount(np.repeat(ranks, weights), minlength=n + 1).tolist())
         assert ffield.enumerate_rank_counts(n, field).counts == expected
 
     def test_dot_products_exact_in_float32(self):
@@ -291,6 +310,19 @@ class TestEnumerateRankCounts:
         hist = ffield.enumerate_rank_counts(3, PrimeField(3))
         assert sum(hist.counts) == 3**6
         assert hist.counts[0] == 1
+
+    # The grid of the census's full-walk test, and the largest field.
+    @pytest.mark.parametrize(
+        "n,p,chunk",
+        [(n, p, chunk) for n in (1, 2, 3) for p in (3, 5) for chunk in (1, 7, 100)]
+        + [(4, 3, 7), (4, 3, 100), (2, 97, None)],
+    )
+    def test_orbit_histogram_equals_full_walk(self, n, p, chunk, monkeypatch):
+        field = PrimeField(p)
+        expected = reference.full_walk_histogram(n, field)
+        if chunk is not None:
+            monkeypatch.setattr(ffield, "_CHUNK", chunk)
+        assert ffield.enumerate_rank_counts(n, field) == expected
 
     def test_budget_refusal_carries_required_size(self):
         with pytest.raises(BudgetExceeded) as excinfo:
@@ -392,9 +424,9 @@ class TestFiberCensus:
         chunk_sizes = []
 
         def recording_chunks(n, field):
-            for arrays in bordered_rank_chunks(n, field):
+            for weight, *arrays in bordered_rank_chunks(n, field):
                 chunk_sizes.extend(a.size for a in arrays)
-                yield arrays
+                yield weight, *arrays
 
         monkeypatch.setattr(ffield, "_bordered_rank_chunks", recording_chunks)
         # No dot table of a walk at size n holds more than 2(n-1) _CHUNK

@@ -269,6 +269,27 @@ def test_histogram_and_census_use_different_kernels(monkeypatch):
     assert statuses[("point_count_histogram", "fail")] == 0
 
 
+def test_walk_fault_fails_point_counts(monkeypatch):
+    # Both kernels walk one minor per scaling orbit through the same
+    # walker, so neither can catch a fault in it; a walk that drops one
+    # nonzero orbit representative (minor index 1, there from n = 2 on)
+    # must fail the point counts against the formula.
+    minor_groups = ffield._minor_groups
+
+    def drop_first_representative(k, width, span, p):
+        for minors, weight, slices in minor_groups(k, width, span, p):
+            kept = minors[minors != 1]
+            if len(kept):
+                yield kept, weight, slices
+
+    monkeypatch.setattr(ffield, "_minor_groups", drop_first_representative)
+    report = verify.run_full_suite(counting_max_n=3, primes=(3,))
+    statuses = {
+        r.params["n"]: r.status for r in report.results if r.check_id == "point_count_histogram"
+    }
+    assert statuses == {0: "pass", 1: "pass", 2: "fail", 3: "fail"}
+
+
 def test_prediction_fault_fails_only_fiber_buckets(monkeypatch):
     # The fault that makes ``symrank fibers`` print MISMATCH fails the
     # suite's bucket check too; the marginals never read the prediction.
