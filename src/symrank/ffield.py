@@ -14,12 +14,14 @@ fastest, which makes every traversal reproducible.
 
 The per-matrix work is vectorized with numpy. Both kernels share one
 walk (:func:`_minor_groups`) and differ only in elimination. It takes
-one (n-1) x (n-1) minor N per orbit of N -> cN, c in F_p^*, and counts
-its tally once per minor of the orbit: scaling [[a, b^T], [b, N]] by c
-maps the p^n matrices over N one to one onto those over cN and keeps
-every rank, which is linear algebra, not the filtration the oracle
-tests. A chunk is a group of walked minors times a slice of one decoded
-table of completing rows. Rank histograms (:func:`enumerate_rank_counts`)
+one (n-1) x (n-1) minor N per orbit of N -> cN, c in F_p^*, and over it
+one completing row (a, b) per orbit of (a, b) -> (c^2 a, cb), congruence
+by diag(c, 1, ..., 1); each tally counts once per member of the orbit,
+except that a row with b = 0 stands for itself. Scaling maps the p^n
+matrices over N one to one onto those over cN, congruence fixes N, and
+both keep every rank, which is linear algebra, not the filtration the
+oracle tests. A chunk is a group of walked minors times a slice of one
+decoded table of walked rows. Rank histograms (:func:`enumerate_rank_counts`)
 reduce each minor once by Gauss-Jordan, batched across minors, and then
 test each border (the first row and column below the corner) against it
 by looking it up in a table of its dot products with the distinct rows
@@ -288,24 +290,31 @@ def _batched_rank(dense: np.ndarray, field: PrimeField) -> np.ndarray:
     return rank
 
 
+def _orbit_representatives(digits: int, p: int) -> np.ndarray:
+    """0, then [p^t, 2 p^t) for t < ``digits``: one packed vector of ``digits``
+    base-p digits per orbit of v -> cv, c in F_p^* (highest nonzero digit 1)."""
+    return np.concatenate([[0]] + [np.arange(p**t, 2 * p**t) for t in range(digits)])
+
+
 def _minor_groups(k: int, width: int, span: int, p: int):
-    """One k x k minor per orbit of N -> cN, c in F_p^*, times every one
-    of the p^width completing rows (index = minor * p^width + row: the
-    first row fills the low packed digits). Yields (minors, weight,
-    slices): the packed indices of a group of minors, the size of their
-    orbits, and, the same for every group, slices of at most ``span``
-    columns of one digit-major table of all the rows
-    (:func:`_decode_digits`). A group times a slice is at most ``span``
-    matrices. First comes the zero minor, an orbit of its own, alone with
-    weight 1; then the minors whose highest nonzero packed digit is 1,
-    the indices [p^t, 2 p^t) for t < k(k+1)/2, with weight p - 1, cut
-    into groups of max(1, span // p^width) across the runs of t.
+    """One k x k minor per orbit of N -> cN, c in F_p^*, times one
+    completing row per orbit of (a, b) -> (c^2 a, cb) (index = minor *
+    p^width + row: a row's low width - k digits are the corner a, its top
+    k the border b), both by :func:`_orbit_representatives`. Yields
+    (minors, weight, slices): a group of minors' packed indices and orbit
+    size, and, the same for every group, (table, weights) pairs of at most
+    ``span`` columns of the walked rows' digit-major table
+    (:func:`_decode_digits`) and weights: 1 for every a with b = 0 (c^2 a
+    reaches only a's square class), p - 1 for every a with each other b.
+    The zero minor comes first, alone with weight 1; then the others with
+    weight p - 1, in groups of max(1, span // rows walked) minors.
     """
-    rows = p**width
-    table = _decode_digits(np.arange(rows, dtype=np.int64), width, p)
-    slices = [table[:, lo : lo + span] for lo in range(0, rows, span)]
-    group = max(1, span // rows)
-    minors = np.concatenate([[0]] + [np.arange(p**t, 2 * p**t) for t in range(_triangle(k))])
+    corners = p ** (width - k)
+    rows = (_orbit_representatives(k, p)[:, None] * corners + np.arange(corners)).ravel()
+    table, weights = _decode_digits(rows, width, p), np.where(rows < corners, 1, p - 1)
+    slices = [(table[:, i : i + span], weights[i : i + span]) for i in range(0, len(rows), span)]
+    group = max(1, span // len(rows))
+    minors = _orbit_representatives(_triangle(k), p)
     yield minors[:1], 1, slices
     for lo in range(1, len(minors), group):
         yield minors[lo : lo + group], p - 1, slices
@@ -386,13 +395,13 @@ def _any_row(table: np.ndarray, where: np.ndarray) -> np.ndarray:
 
 def _bordered_rank_chunks(n: int, field: PrimeField):
     """The (minor, border) pairs of the symmetric n x n matrices, n >= 1,
-    over one minor per scaling orbit (:func:`_minor_groups`), in chunks of
-    at most ``_CHUNK`` pairs, each chunk a tuple ``(weight, minor_rank,
-    u_nonzero, w_nonzero)``: the orbit size of the group's minors, then
-    arrays of shapes (m,), (m, nb) and (m, nb) for its m minors and one
-    slice of nb borders. Read minor-major and chunk by chunk, the pairs
-    run in packed-index order over the walked minors, each standing for
-    its p corners.
+    over one minor per scaling orbit and one border per orbit of b -> cb
+    (:func:`_minor_groups`), in chunks of at most ``_CHUNK`` pairs, each
+    a tuple ``(weights, minor_rank, u_nonzero, w_nonzero)`` of arrays of
+    shapes (nb,), (m,), (m, nb) and (m, nb) for m minors and one slice of
+    nb borders, ``weights`` the pairs each border's column stands for. Read
+    minor-major and chunk by chunk, the pairs run in packed-index order
+    over the walked minors and borders, each standing for its p corners.
 
     The matrix [[a, b^T], [b, N]] reduces, against R's unit pivots, to an
     r x r identity block beside [[a - q, w^T], [u, 0]], where u = Z b,
@@ -415,9 +424,10 @@ def _bordered_rank_chunks(n: int, field: PrimeField):
         present[keys] = True
         rows = _decode_digits(np.flatnonzero(present), k, p).T
         where = (np.cumsum(present) - 1)[keys]  # each key's row of the table
-        for borders in border_slices:
+        for borders, border_weights in border_slices:
             table = _nonzero_table(rows, borders, p)
-            yield weight, minor_rank, _any_row(table, where[:k]), _any_row(table, where[k:])
+            u_nonzero, w_nonzero = _any_row(table, where[:k]), _any_row(table, where[k:])
+            yield weight * border_weights, minor_rank, u_nonzero, w_nonzero
 
 
 def enumerate_rank_counts(
@@ -425,12 +435,13 @@ def enumerate_rank_counts(
 ) -> RankHistogram:
     """Rank histogram of all p^(n(n+1)/2) symmetric matrices, ranked by
     bordered elimination (:func:`_bordered_rank_chunks`) over one minor
-    per scaling orbit.
+    per scaling orbit and one border per orbit of b -> cb.
 
     Each (minor, border) pair stands for its p corners: all p at rank
     r + [u != 0] + [w != 0] when u or w is nonzero, else one at r and
-    p - 1 at r + 1. The pairs of each kind are counted per minor rank r,
-    and each chunk's integer tally is multiplied by its orbit weight.
+    p - 1 at r + 1; congruence by diag(c, 1, ..., 1) permutes the corners
+    of b onto those of cb. The pairs of each kind are counted per minor
+    as ``nonzero @ weights``, in int64, and summed per minor rank r.
     Raises :class:`BudgetExceeded` with the exact required visit count if
     the space is larger than ``budget``.
     """
@@ -443,13 +454,12 @@ def enumerate_rank_counts(
     # Column r: pairs over rank-r minors, and those of them with u != 0,
     # with w != 0 and with both.
     tally = np.zeros((4, n), dtype=np.int64)
-    for weight, minor_rank, u_nonzero, w_nonzero in _bordered_rank_chunks(n, field):
-        # A chunk's counts are at most _CHUNK, so int32 holds them.
-        per_minor = np.empty((4, len(minor_rank)), dtype=np.int32)
-        per_minor[0] = u_nonzero.shape[1]
+    for weights, minor_rank, u_nonzero, w_nonzero in _bordered_rank_chunks(n, field):
+        per_minor = np.empty((4, len(minor_rank)), dtype=np.int64)
+        per_minor[0] = weights.sum()
         for row, nonzero in zip(per_minor[1:], (u_nonzero, w_nonzero, u_nonzero & w_nonzero)):
-            nonzero.sum(axis=1, out=row)  # count_nonzero over the borders
-        tally += weight * (per_minor @ (minor_rank[:, None] == np.arange(n))).astype(np.int64)
+            np.einsum("mb,b->m", nonzero, weights, out=row)  # the pairs of each minor
+        tally += per_minor @ (minor_rank[:, None] == np.arange(n))
     pairs, u, w, both = tally
     free = pairs - u - w + both
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -461,8 +471,9 @@ def enumerate_rank_counts(
 
 def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> FiberCensus:
     """Joint (minor rank, full rank) tally over the whole space, ranking
-    the fiber of one minor per scaling orbit (:func:`_minor_groups`) and
-    counting it once for the zero minor, p - 1 times for any other.
+    one row per orbit of (a, b) -> (c^2 a, cb) over one minor per scaling
+    orbit (:func:`_minor_groups`). Rows of weight p - 1 are tallied under
+    keys of their own, and a chunk adds weight * (t_1 + (p - 1) t_(p-1)).
 
     The 0 x 0 minor of a 1 x 1 matrix counts as rank 0, so the n = 1
     census degenerates gracefully.
@@ -473,21 +484,25 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
     _space_size(n, p, budget)
     base = n + 1
     acc = np.zeros((n + 1) * base, dtype=np.int64)
-    # Both reused by every chunk; made before any per-group array (fewer page faults).
-    dense = np.empty((n, n, _CHUNK), dtype=np.int16)
-    scratch = _ScratchField(p, n, _CHUNK)
-    for minor_idx, weight, row_slices in _minor_groups(n - 1, n, _CHUNK, p):
+    # Sized to the walk's largest chunk; made before any per-group array (fewer page faults).
+    groups = list(_minor_groups(n - 1, n, _CHUNK, p))
+    capacity = max(len(minors) * slices[0][0].shape[1] for minors, _, slices in groups)
+    dense = np.empty((n, n, capacity), dtype=np.int16)
+    scratch = _ScratchField(p, n, capacity)
+    for minor_idx, weight, row_slices in groups:
         minors = _dense_batch(minor_idx, n - 1, p)
         minor_ranks = _batched_rank(minors, scratch) * base
-        for rows in row_slices:
+        for rows, row_weights in row_slices:
             flat = dense[:, :, : len(minor_idx) * rows.shape[1]]
             batch = flat.reshape(n, n, len(minor_idx), rows.shape[1])  # a view: fills flat
             batch[0] = rows[:, None, :]
             batch[1:, 0] = rows[1:, None, :]
             batch[1:, 1:] = minors[..., None]
             ranks = _batched_rank(flat, scratch)
-            tally = np.bincount(np.repeat(minor_ranks, rows.shape[1]) + ranks, minlength=len(acc))
-            acc += weight * tally
+            moved = np.int16(acc.size) * (row_weights > 1)  # keys of rows of weight p - 1
+            keys = ranks.reshape(len(minor_idx), -1) + minor_ranks[:, None] + moved
+            ones, others = np.bincount(keys.ravel(), minlength=2 * acc.size).reshape(2, -1)
+            acc += weight * (ones + (p - 1) * others)
     table: dict[tuple[int, int], int] = {}
     for r in range(n + 1):
         for s in range(n + 1):

@@ -5,8 +5,11 @@ Gaussian elimination, kept apart from ``symrank.ffield`` so that the
 tests compare both vectorized kernels against code they do not share;
 the rank histogram and the fiber census over every matrix of the space,
 which the package's two kernels must reproduce: both walk one minor per
-scaling orbit, and outside the tests only the point counts against the
-formula check that walk; and the JSON object of a class, which
+scaling orbit N -> cN and, over it, one completing row (a, b) per orbit
+of congruence by diag(c, 1, ..., 1), (a, b) -> (c^2 a, cb), which fixes
+the minor and keeps every rank (a row with b = 0 stands for itself).
+Outside the tests only the point counts against the formula check that
+walk. Last, the JSON object of a class, which
 ``json.dumps`` renders as the bytes ``MotivicClass.to_json`` must
 reproduce.
 """

@@ -38,31 +38,61 @@ def det_mod(rows, cols, mat, p):
 
 def bordered_pairs(n, field):
     """The histogram kernel's (minor, border) pairs in packed-index order
-    over the walked minors, as three flat arrays: base = r + [u != 0] +
-    [w != 0], corner_free = (u = 0 and w = 0), and the orbit weight."""
+    over the walked minors and borders, as three flat arrays: base = r +
+    [u != 0] + [w != 0], corner_free = (u = 0 and w = 0), and the weight,
+    the minor's orbit size times the border's."""
     chunks = list(ffield._bordered_rank_chunks(n, field))
     base = [(r[:, None] + u + w).ravel() for _, r, u, w in chunks]
     corner_free = [~(u | w).ravel() for _, _, u, w in chunks]
-    weights = [np.full(u.size, weight) for weight, _, u, _ in chunks]
+    weights = [np.broadcast_to(weights, u.shape).ravel() for weights, _, u, _ in chunks]
     return np.concatenate(base), np.concatenate(corner_free), np.concatenate(weights)
 
 
+def walked_rows(slices, p):
+    """The packed indices and the weights of the rows of a walk's slices."""
+    tables, weights = zip(*slices)
+    table = np.concatenate(tables, axis=1)
+    return p ** np.arange(len(table), dtype=np.int64) @ table, np.concatenate(weights)
+
+
 def walked_matrices(n, p):
-    """The packed indices of every matrix over each minor the walk takes,
-    in packed order, and the orbit weight of each."""
+    """The packed indices of the p corners of every border the walk takes
+    over each minor it takes, in packed order, and the weight of each."""
     groups = list(ffield._minor_groups(n - 1, n - 1, ffield._CHUNK, p))
     minors = np.concatenate([minors for minors, _, _ in groups])
     weights = np.concatenate([np.full(len(minors), weight) for minors, weight, _ in groups])
-    idx = (minors[:, None] * p**n + np.arange(p**n)).ravel()
-    return idx, np.repeat(weights, p**n)
+    borders, border_weights = walked_rows(groups[0][2], p)
+    rows = (borders[:, None] * p + np.arange(p)).ravel()  # the corner is the low digit
+    idx = (minors[:, None] * p**n + rows).ravel()
+    return idx, np.repeat(np.outer(weights, border_weights).ravel(), p)
+
+
+def assert_rows_stand_for_every_row_once(k, width, p, slices):
+    """Each walked row (a, b), a its low width - k digits and b its top k,
+    stands for itself when b = 0 and for its orbit {(c^2 a, cb)} under
+    congruence by diag(c, 1, ..., 1) when b != 0, where the highest nonzero
+    digit of b is 1. These sets must cover all p^width rows exactly once,
+    each row's weight the size of its set."""
+    covered = []
+    for table, weights in slices:
+        for digits, weight in zip(table.T.tolist(), weights.tolist()):
+            a, b = digits[: width - k], digits[width - k :]
+            if any(b):
+                assert [d for d in b if d][-1] == 1
+            scales = range(1, p) if any(b) else [1]
+            orbit = {tuple([c * c * d % p for d in a] + [c * d % p for d in b]) for c in scales}
+            assert weight == len(orbit)
+            covered.extend(orbit)
+    assert sum(weights.sum() for _, weights in slices) == p**width
+    assert len(set(covered)) == len(covered) == p**width
 
 
 def assert_pairs_rank_their_corners(n, field):
-    """Ranks every matrix over each walked minor with _batched_rank, in
-    packed order, and requires each pair's p corners, sorted, to rank
-    [base] * p, or [base] + [base + 1] * (p - 1) when the pair is
-    corner-free, and each pair to carry its minor's orbit weight. Returns
-    the ranks and the weight of each."""
+    """Ranks the p corners of every walked (minor, border) pair with
+    _batched_rank, in packed order, and requires each pair's corners,
+    sorted, to rank [base] * p, or [base] + [base + 1] * (p - 1) when the
+    pair is corner-free, and each pair to carry its weight. Returns the
+    ranks and the weight of each."""
     p = field.p
     idx, weights = walked_matrices(n, p)
     ranks = _batched_rank(_dense_batch(idx, n, p), field)
@@ -72,6 +102,12 @@ def assert_pairs_rank_their_corners(n, field):
     assert np.array_equal(np.sort(ranks.reshape(-1, p), axis=1), expected)
     assert np.array_equal(np.repeat(pair_weights, p), weights)
     return ranks, weights
+
+
+# Shapes where the row walk's c^2 moves the corner a (over F_3 every c^2
+# is 1), up to 7^6 matrices: a chunk of 5 cuts the census's p rows with
+# b = 0 across a slice, beside the first rows with b != 0.
+C2_MOVES_CORNER = [(n, p, chunk) for n, p in [(2, 7), (3, 7), (2, 13)] for chunk in (5, None)]
 
 
 def rank_by_minors(mat, p):
@@ -187,50 +223,64 @@ class TestRank:
 
 
 class TestMinorGroups:
-    # (0, 1, 3) is the census at n = 1 (no minor); p^width is below every
-    # span but 1 at (1, 1, 5), above 7 and 100 at (1, 3, 7), and above
-    # _CHUNK at (0, 3, 97).
+    # (0, 1, 3) is the census at n = 1 (no minor, no border); the rows
+    # walked are below every span but 1 at (1, 1, 5), above 7 and 100 at
+    # (1, 3, 11) and (2, 3, 7), the census at (3, 7), and above _CHUNK at
+    # (0, 3, 97).
     @pytest.mark.parametrize(
         "k,width,p,span",
         [
             (k, width, p, span)
-            for k, width, p in [(0, 1, 3), (0, 0, 5), (1, 1, 5), (2, 2, 3), (1, 3, 7)]
+            for k, width, p in [
+                (0, 1, 3), (0, 0, 5), (1, 1, 5), (2, 2, 3), (1, 3, 7), (1, 3, 11), (2, 3, 7)
+            ]
             for span in [1, 7, 100, 1 << 16]
         ]
         + [(0, 3, 97, 1 << 16)],
     )
     def test_visits_every_matrix_once_in_packed_order(self, k, width, p, span):
-        # Every matrix over each walked minor, each once, in packed order.
-        rows = p**width
-        weights = p ** np.arange(width, dtype=np.int64)
+        # Every walked row over each walked minor, each once, in packed
+        # order, and the same rows, with the same weights, for every minor.
+        digits = p ** np.arange(width, dtype=np.int64)
         walked, visited, sizes = [], [], []
-        for minors, _, slices in ffield._minor_groups(k, width, span, p):
+        groups = list(ffield._minor_groups(k, width, span, p))
+        rows, weights = walked_rows(groups[0][2], p)
+        for minors, _, slices in groups:
             walked.append(minors)
-            for table in slices:
-                visited.append((minors[:, None] * rows + weights @ table).ravel())
+            for table, table_weights in slices:
+                visited.append((minors[:, None] * p**width + digits @ table).ravel())
                 sizes.append(len(minors) * table.shape[1])
-        over_walked = np.concatenate(walked)[:, None] * rows + np.arange(rows)
+                assert table_weights.shape == (table.shape[1],)
+            assert np.array_equal(walked_rows(slices, p)[1], weights)
+        over_walked = np.concatenate(walked)[:, None] * p**width + rows
         assert np.array_equal(np.concatenate(visited), over_walked.ravel())
+        assert rows.tolist() == sorted(set(rows.tolist()))
+        assert weights.sum() == p**width
         assert max(sizes) <= span
 
     @pytest.mark.parametrize("span", [1, 7, 100])
-    @pytest.mark.parametrize("k,p", [(0, 3), (1, 5), (2, 3), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("k,p", [(0, 3), (1, 5), (2, 3), (2, 5), (3, 3), (1, 7)])
     def test_orbit_walk_takes_one_minor_per_scaling_orbit(self, k, p, span):
         t = k * (k + 1) // 2
         groups = list(ffield._minor_groups(k, k + 1, span, p))
+        # The census's rows: p corners each for b = 0 and for one border b
+        # per orbit of b -> cb, in p^(k+1) rows altogether.
+        rows = p * (1 + (p**k - 1) // (p - 1))
+        assert_rows_stand_for_every_row_once(k, k + 1, p, groups[0][2])
+        assert walked_rows(groups[0][2], p)[0].shape == (rows,)
         minors = np.concatenate([group for group, _, _ in groups]).tolist()
         assert len(minors) == 1 + (p**t - 1) // (p - 1)
         assert minors == sorted(set(minors))
         # The zero minor is an orbit, and a group, of its own; the other
         # groups are cut from one run, so only the last may be short.
         assert groups[0][0].tolist() == [0]
-        assert all(len(group) == max(1, span // p ** (k + 1)) for group, _, _ in groups[1:-1])
+        assert all(len(group) == max(1, span // rows) for group, _, _ in groups[1:-1])
         weights = 0
         multiples = set()
         for group, weight, slices in groups:
             assert weight == (p - 1 if group[0] else 1)
             weights += len(group) * weight
-            assert max(len(group) * table.shape[1] for table in slices) <= span
+            assert max(len(group) * table.shape[1] for table, _ in slices) <= span
             for m in group.tolist():
                 entries = SymMatrix.from_index(k, p, m).entries
                 if m:
@@ -254,13 +304,14 @@ class TestBorderedKernel:
             return
         assert_pairs_rank_their_corners(n, field)
 
-    @pytest.mark.parametrize("chunk", [7, 1, 100])
+    @pytest.mark.parametrize("chunk", [7, 1, 100, 3, 50])
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 5)])
     def test_chunk_size_changes_no_rank(self, n, p, chunk, monkeypatch):
-        # 7 and 1 split each minor's borders across chunks (1 down to one
-        # border per chunk); 100 groups up to 11 minors per chunk, so the
-        # 13 nonzero walked minors at (3, 3) fall into groups of 11 and 2,
-        # and at (2, 5) the walk holds only the minors 0 and 1.
+        # The walk takes 5 borders at (3, 3) and 2 at (2, 5): 3 and 1
+        # split each minor's borders across chunks (1 down to one border
+        # per chunk), 7 holds them in one; 100 groups all 13 nonzero walked
+        # minors at (3, 3) in one chunk and 50 in groups of 10 and 3; at
+        # (2, 5) the walk holds only the minors 0 and 1.
         field = PrimeField(p)
         whole = ffield.enumerate_rank_counts(n, field)
         pairs = bordered_pairs(n, field)
@@ -269,14 +320,14 @@ class TestBorderedKernel:
         for chunked, whole_walk in zip(bordered_pairs(n, field), pairs):
             assert np.array_equal(chunked, whole_walk)
 
-    @pytest.mark.parametrize("chunk", [7, 1, 100])
+    @pytest.mark.parametrize("chunk", [7, 1, 100, 3])
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 5), (3, 5)])
     def test_corner_tally_equals_per_matrix_ranks(self, n, p, chunk, monkeypatch):
         # The histogram tallies each pair's p corners without ranking them
         # one by one; each pair must rank its own corners, and the
         # histogram must equal the bincount of the ranks, each counted
-        # once per minor of its orbit. At (3, 5) a minor's 25 borders span
-        # 4 chunks of 7 and 25 of 1.
+        # once per member of its orbit. At (3, 5) a minor's 7 walked
+        # borders fill a chunk of 7 and span 3 chunks of 3 and 7 of 1.
         monkeypatch.setattr(ffield, "_CHUNK", chunk)
         field = PrimeField(p)
         ranks, weights = assert_pairs_rank_their_corners(n, field)
@@ -315,7 +366,8 @@ class TestEnumerateRankCounts:
     @pytest.mark.parametrize(
         "n,p,chunk",
         [(n, p, chunk) for n in (1, 2, 3) for p in (3, 5) for chunk in (1, 7, 100)]
-        + [(4, 3, 7), (4, 3, 100), (2, 97, None)],
+        + [(4, 3, 7), (4, 3, 100), (2, 97, None)]
+        + C2_MOVES_CORNER,
     )
     def test_orbit_histogram_equals_full_walk(self, n, p, chunk, monkeypatch):
         field = PrimeField(p)
@@ -381,9 +433,11 @@ class TestFiberCensus:
     @pytest.mark.parametrize("chunk", [7, 1, 100])
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 5)])
     def test_chunk_boundaries_inside_minor_runs(self, n, p, chunk, monkeypatch):
-        # 7 and 1 split each minor's p^n completions across chunks (1 down
-        # to one matrix per chunk); 100 groups 3 whole minors per chunk at
-        # (3, 3) and 4 at (2, 5), where the last group is short.
+        # The walk takes 15 completing rows at (3, 3) and 10 at (2, 5): 7
+        # and 1 split each minor's rows across chunks (1 down to one matrix
+        # per chunk); 100 groups 6 whole minors per chunk at (3, 3), where
+        # the last group is short, and at (2, 5) the walk holds only the
+        # minors 0 and 1.
         field = PrimeField(p)
         whole = ffield.fiber_census(n, field)
         monkeypatch.setattr(ffield, "_CHUNK", chunk)
@@ -394,12 +448,14 @@ class TestFiberCensus:
     @pytest.mark.parametrize(
         "n,p,chunk",
         [(n, p, chunk) for n in (1, 2, 3) for p in (3, 5) for chunk in (1, 7, 100)]
-        + [(4, 3, 7), (4, 3, 100)],
+        + [(4, 3, 7), (4, 3, 100)]
+        + C2_MOVES_CORNER,
     )
     def test_orbit_census_equals_full_walk(self, n, p, chunk, monkeypatch):
         field = PrimeField(p)
         expected = reference.full_walk_census(n, field)
-        monkeypatch.setattr(ffield, "_CHUNK", chunk)
+        if chunk is not None:
+            monkeypatch.setattr(ffield, "_CHUNK", chunk)
         assert ffield.fiber_census(n, field) == expected
 
     @pytest.mark.parametrize("chunk", [None, 7, 1, 100])
@@ -424,9 +480,9 @@ class TestFiberCensus:
         chunk_sizes = []
 
         def recording_chunks(n, field):
-            for weight, *arrays in bordered_rank_chunks(n, field):
+            for arrays in bordered_rank_chunks(n, field):
                 chunk_sizes.extend(a.size for a in arrays)
-                yield weight, *arrays
+                yield arrays
 
         monkeypatch.setattr(ffield, "_bordered_rank_chunks", recording_chunks)
         # No dot table of a walk at size n holds more than 2(n-1) _CHUNK

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from symrank import ffield, motivic, verify
@@ -269,6 +270,12 @@ def test_histogram_and_census_use_different_kernels(monkeypatch):
     assert statuses[("point_count_histogram", "fail")] == 0
 
 
+def histogram_statuses(report):
+    return {
+        r.params["n"]: r.status for r in report.results if r.check_id == "point_count_histogram"
+    }
+
+
 def test_walk_fault_fails_point_counts(monkeypatch):
     # Both kernels walk one minor per scaling orbit through the same
     # walker, so neither can catch a fault in it; a walk that drops one
@@ -284,10 +291,42 @@ def test_walk_fault_fails_point_counts(monkeypatch):
 
     monkeypatch.setattr(ffield, "_minor_groups", drop_first_representative)
     report = verify.run_full_suite(counting_max_n=3, primes=(3,))
-    statuses = {
-        r.params["n"]: r.status for r in report.results if r.check_id == "point_count_histogram"
-    }
-    assert statuses == {0: "pass", 1: "pass", 2: "fail", 3: "fail"}
+    assert histogram_statuses(report) == {0: "pass", 1: "pass", 2: "fail", 3: "fail"}
+
+
+def drop_first_moved_row(table, weights, p):
+    # The first row with b != 0 (a border there from n = 2 on) is not walked.
+    kept = np.ones(len(weights), dtype=bool)
+    kept[np.flatnonzero(weights > 1)[:1]] = False
+    return table[:, kept], weights[kept]
+
+
+def first_row_moved(table, weights, p):
+    # The row a = 0, b = 0 counts as an orbit of p - 1 rows. At n = 1 the
+    # histogram's one border is that row, so the fault shows there too.
+    weights = weights.copy()
+    weights[:1] = p - 1
+    return table, weights
+
+
+@pytest.mark.parametrize(
+    "fault,at_n1",
+    [(drop_first_moved_row, "pass"), (first_row_moved, "fail")],
+)
+def test_row_walk_fault_fails_point_counts(monkeypatch, fault, at_n1):
+    # The completing rows are walked by orbit of (a, b) -> (c^2 a, cb)
+    # through the same walker as the minors; a walk that loses a row's
+    # orbit or miscounts a row with b = 0 must fail the point counts
+    # against the formula from n = 2 on.
+    minor_groups = ffield._minor_groups
+
+    def faulty_rows(k, width, span, p):
+        for minors, weight, slices in minor_groups(k, width, span, p):
+            yield minors, weight, [fault(table, weights, p) for table, weights in slices]
+
+    monkeypatch.setattr(ffield, "_minor_groups", faulty_rows)
+    report = verify.run_full_suite(counting_max_n=3, primes=(3,))
+    assert histogram_statuses(report) == {0: "pass", 1: at_n1, 2: "fail", 3: "fail"}
 
 
 def test_prediction_fault_fails_only_fiber_buckets(monkeypatch):
