@@ -2,9 +2,9 @@
 
 Subcommands: class, table, count, fibers, decompose, verify. All output
 is deterministic (identical invocations produce identical bytes) and
-starts only after computation finishes. Class and table JSON is rendered
-from each class's parts (:meth:`motivic.MotivicClass.to_json`), and the
-table writes it row by row; the other JSON goes through ``json.dumps``.
+starts only after computation finishes. Class, table and verify JSON is
+written as text (:meth:`motivic.MotivicClass.to_json`, the table row by
+row, and :meth:`verify.VerificationReport.to_json`); the rest takes ``json.dumps``.
 
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal. Only the commands that enumerate (count --brute-force, fibers,

@@ -19,7 +19,8 @@ Multiplying or dividing by such a binomial takes a shifted pass over
 slices, with no Python loop over coefficients: the product is the
 operand shifted by m minus itself, and the quotient is a running sum in
 each residue class mod m. Every other operand takes schoolbook
-multiplication or long division.
+multiplication or long division. A signed sum of shifted terms, as the
+recursion and strata sums take, fills one buffer (:func:`shifted_sum`).
 """
 
 from __future__ import annotations
@@ -292,6 +293,27 @@ class LaurentPolynomial:
         """JSON form: decimal exponent strings to decimal coefficient strings."""
         coeffs, lo = self._coeffs, self._lo
         return {str(lo + i): str(coeffs[i]) for i in range(len(coeffs) - 1, -1, -1) if coeffs[i]}
+
+
+def shifted_sum(terms) -> LaurentPolynomial:
+    """The sum of sign * L^shift * P over the (P, shift, sign) of ``terms``,
+    sign +1 or -1, as the chained operators give it, in one zero buffer with
+    one slice pass per term; a term reaching below L^0 raises ``ValueError``.
+
+    >>> shifted_sum(((L + 1, 2, 1), (L**2, 0, -1), (ONE, 1, 1)))
+    LaurentPolynomial('L^3 + L')
+    """
+    spans = [(p._lo + s, p._coeffs, add if sign > 0 else sub) for p, s, sign in terms if p._coeffs]
+    if not spans:
+        return ZERO
+    lo = min(start for start, _, _ in spans)
+    if lo < 0:
+        raise ValueError(f"negative exponent {lo}: L is never inverted")
+    out = [0] * (max(start + len(coeffs) for start, coeffs, _ in spans) - lo)
+    for start, coeffs, op in spans:
+        i = start - lo
+        out[i : i + len(coeffs)] = map(op, out[i : i + len(coeffs)], coeffs)
+    return _stripped(lo, out)
 
 
 def _canonical(lo: int, coeffs: tuple[int, ...]) -> LaurentPolynomial:

@@ -37,7 +37,7 @@ import functools
 import json
 from dataclasses import dataclass
 
-from .laurent import L, ONE, ZERO, LaurentPolynomial, monomial
+from .laurent import L, ONE, ZERO, LaurentPolynomial, monomial, shifted_sum
 
 
 class InvalidRange(ValueError):
@@ -204,11 +204,8 @@ def _exact_value(n: int, k: int) -> LaurentPolynomial:
         return ZERO
     if k == 0:
         return ONE
-    return (
-        (monomial(1, n) - monomial(1, k - 1)) * _exact_value(n - 1, k - 2)
-        + (monomial(1, k) - monomial(1, k - 1)) * _exact_value(n - 1, k - 1)
-        + monomial(1, k) * _exact_value(n - 1, k)
-    )
+    a, b, c = _exact_value(n - 1, k - 2), _exact_value(n - 1, k - 1), _exact_value(n - 1, k)
+    return shifted_sum(((a, n, 1), (a, k - 1, -1), (b, k, 1), (b, k - 1, -1), (c, k, 1)))
 
 
 def _recursive_value(n: int, k: int) -> LaurentPolynomial:
@@ -227,7 +224,7 @@ def _strata_sum(descriptor: VarietyDescriptor, route: str) -> LaurentPolynomial:
     ``route``; an unknown route raises even when no rank is covered."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    return sum((class_exact(descriptor.n, m, route).value for m in descriptor.ranks()), ZERO)
+    return shifted_sum((class_exact(descriptor.n, m, route).value, 0, 1) for m in descriptor.ranks())
 
 
 def class_exact(n: int, k: int, route: str = ROUTE_RECURSION) -> MotivicClass:

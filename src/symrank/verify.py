@@ -10,11 +10,11 @@ reports on any machine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
+from json import dumps
 
 from . import ffield, motivic
-from .laurent import L, ZERO, NonzeroRemainder, monomial
+from .laurent import L, ZERO, NonzeroRemainder, monomial, shifted_sum
 
 #: Symbolic identities are cheap; check them this deep by default.
 SYMBOLIC_MAX_N = 12
@@ -61,7 +61,20 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """``json.dumps(self.to_json_dict(), indent=2)``, built as text like
+        :meth:`motivic.MotivicClass.to_json`: each leaf takes the C encoder."""
+        head = dumps({"config": dict(self.config), "summary": self.summary}, indent=2)
+        rows = []
+        for r in self.results:
+            params = ",\n        ".join(f"{dumps(k)}: {dumps(v)}" for k, v in r.params.items())
+            params = f"{{\n        {params}\n      }}" if params else "{}"
+            rows.append(
+                f'    {{\n      "check_id": {dumps(r.check_id)},\n      "params": {params},\n'
+                f'      "status": {dumps(r.status)},\n      "expected": {dumps(r.expected)},\n'
+                f'      "actual": {dumps(r.actual)},\n      "reason": {dumps(r.reason)}\n    }}'
+            )
+        results = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return f'{head[:-2]},\n  "results": {results}\n}}'
 
 
 def _check(check_id: str, params: dict[str, int], expected, actual) -> CheckResult:
@@ -129,27 +142,30 @@ def verify_formula_vs_recursion(max_n: int) -> VerificationReport:
     """Closed form == recursion for every stratum, the bundle identity
     of the rank-<=k locus for 0 < k < n, the full-rank product identity,
     and the partition of affine space, all as exact polynomial
-    equalities up to size ``max_n``."""
+    equalities up to size ``max_n``. Bundles sum the kept row n - 1 by running
+    prefix; the at-most side is still :func:`motivic.class_at_most`."""
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     results: list[CheckResult] = []
+    row: list = []  # row n's recursion values, by rank
     for n in range(0, max_n + 1):
-        stratum_sum = ZERO
+        prev, row = row, []
         for k in range(0, n + 1):
             rec = motivic.class_exact(n, k).value
             closed = motivic.closed_form(n, k).value
             results.append(_check("closed_form_equals_recursion", {"n": n, "k": k}, rec, closed))
-            stratum_sum = stratum_sum + rec
+            row.append(rec)
         affine = monomial(1, n * (n + 1) // 2)
+        stratum_sum = shifted_sum((rec, 0, 1) for rec in row)
         results.append(_check("strata_sum_to_affine_space", {"n": n}, affine, stratum_sum))
+        below = ZERO  # [n - 1, <= k - 2], the running prefix of row n - 1
         for k in range(1, n):
             # The minor projection splits the rank-<=k locus into three
             # affine bundles over the strata of size n - 1.
-            below = motivic.class_at_most(n - 1, k - 2).value
-            edge = motivic.class_exact(n - 1, k - 1).value + motivic.class_exact(n - 1, k).value
-            bundles = monomial(1, n) * below + monomial(1, k) * edge
+            bundles = shifted_sum(((below, n, 1), (prev[k - 1], k, 1), (prev[k], k, 1)))
             at_most = motivic.class_at_most(n, k).value
             results.append(_check("at_most_bundle", {"n": n, "k": k}, at_most, bundles))
+            below = below + prev[k - 1]
         if n >= 1:
             results.append(
                 _check(

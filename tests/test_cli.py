@@ -558,7 +558,10 @@ def test_readme_cli_examples_run(capsys):
 #: verify report's digest was recorded when ``at_most_bundle`` joined it,
 #: the two n = 30 / 60 closed-form digests while that route still took a
 #: single long division, the n = 20 tables and the other three class JSON
-#: digests while ``json.dumps`` still rendered class JSON.
+#: digests while ``json.dumps`` still rendered class JSON, and the two
+#: full verify reports while ``json.dumps`` still rendered the report.
+#: Those two add about 0.9 s to the suite: the default grid about 0.85 s,
+#: the primes 7 11 13 grid about 0.05 s (2-vCPU Xeon).
 GOLDEN_SHA256 = {
     "table --max-n 12":
         "5df763832f5923eb62014919fe074e4ce097fc24faeddf9c783ce2dc6a6e1e7a",
@@ -590,6 +593,10 @@ GOLDEN_SHA256 = {
         "48eee9081b27bd0b909e0d7f9bd310ea0212f1f42ac1f4eda31823ee3cf41513",
     "class --n 60 --at-most 59 --format json":
         "4761f2b0242c9b9f5402788dbf002850426fca606c94b6c3d2ff96d583acc446",
+    "verify --format json":
+        "fec88c345e54a7b16a7f36e42b6ec0662c994d206b8e5864b699eb3a19cfce47",
+    "verify --primes 7 11 13 --format json":
+        "1b809c9f475d3a56f4fd75c0b945b82d80737e2810bec35f567e0002a12b23c7",
 }
 
 

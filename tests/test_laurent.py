@@ -11,6 +11,7 @@ from symrank.laurent import (
     LaurentPolynomial,
     NonzeroRemainder,
     monomial,
+    shifted_sum,
 )
 
 EVAL_POINTS = (-3, 2, 3, 5, 7)
@@ -127,8 +128,66 @@ def test_no_zero_coefficients_survive_operations():
     rng = random.Random(7)
     for _ in range(200):
         p, q = random_poly(rng), random_poly(rng)
-        for result in (p + q, p - q, p * q):
+        for result in (p + q, p - q, p * q, shifted_sum(((p, 3, 1), (q, 0, -1)))):
             assert all(c != 0 for c in result.terms().values())
+
+
+def chained(terms) -> LaurentPolynomial:
+    """The sum shifted_sum computes, by the ring operators."""
+    total = ZERO
+    for poly, shift, sign in terms:
+        term = monomial(1, shift) * poly
+        total = total + term if sign > 0 else total - term
+    return total
+
+
+def assert_canonical(poly: LaurentPolynomial) -> None:
+    """Stored as the constructor stores the same terms: no zero at either
+    end, the valuation first, and zero as the empty tuple at 0."""
+    canon = LaurentPolynomial(poly.terms())
+    assert (poly._lo, poly._coeffs) == (canon._lo, canon._coeffs)
+
+
+def test_shifted_sum_matches_chained_operators_randomized():
+    rng = random.Random(31)
+    for _ in range(300):
+        terms = [
+            (random_poly(rng), rng.randint(0, 20), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        result = shifted_sum(terms)
+        assert result == chained(terms)
+        assert_canonical(result)
+
+
+@pytest.mark.parametrize(
+    "terms,expected",
+    [
+        ([], ZERO),
+        ([(ZERO, 4, 1), (ZERO, 0, -1)], ZERO),
+        ([(L**2 - 1, 1, 1), (L**3 - L, 0, -1)], ZERO),
+        ([(L + 1, 3, 1), (L**4 + L**3, 0, -1)], ZERO),
+        ([(L - 1, 2, 1), (L**3 - L**2, 0, -1), (ONE, 7, 1)], L**7),
+        ([(ZERO, 2, 1), (L, 0, 1), (ONE, 9, 1)], L**9 + L),
+        ([(2 * L + 3, 0, -1), (L, 5, -1)], -(L**6) - 2 * L - 3),
+        ([(L**5 - 1, 0, 1), (ONE, 0, 1), (L**5, 0, -1)], ZERO),
+        ([(L**3 + L, 0, 1), (L**3, 0, -1)], L),
+    ],
+    ids=[
+        "empty", "zero-operands", "cancels", "cancels-shifted", "cancels-to-gap",
+        "gap-of-zeros", "negative-signs", "cancels-both-ends", "cancels-top",
+    ],
+)
+def test_shifted_sum_cases(terms, expected):
+    result = shifted_sum(terms)
+    assert result == expected == chained(terms)
+    assert_canonical(result)
+
+
+def test_shifted_sum_rejects_terms_below_constant():
+    assert shifted_sum([(L**3, -1, 1)]) == L**2
+    with pytest.raises(ValueError, match="never inverted"):
+        shifted_sum([(L**2, 0, 1), (L + 1, -1, 1)])
 
 
 def test_ring_properties_randomized():

@@ -49,6 +49,28 @@ class TestFormulaVsRecursion:
             "full_rank_product_equals_recursion",
         }
 
+    def test_stratum_fault_fails_bundles_of_the_next_row(self, monkeypatch):
+        # The bundle side reads row n - 1's strata: a stratum wrong at
+        # (3, 1) must reach every bundle of row 4, through the edge
+        # (k = 1, 2) and the running prefix (k = 3). Row 3's at-most side
+        # sums the same wrong stratum, and row 5 reads only row 4.
+        class_exact = motivic.class_exact
+
+        def wrong_at_3_1(n, k, route=motivic.ROUTE_RECURSION):
+            c = class_exact(n, k, route)
+            if (n, k) == (3, 1):
+                return motivic.MotivicClass(c.descriptor, c.value + 1, c.route)
+            return c
+
+        monkeypatch.setattr(motivic, "class_exact", wrong_at_3_1)
+        report = verify.verify_formula_vs_recursion(5)
+        failed = {
+            (r.params["n"], r.params["k"])
+            for r in report.results
+            if r.check_id == "at_most_bundle" and r.status == "fail"
+        }
+        assert failed == {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
+
 
 class TestPointCounts:
     def test_small_pass(self):
@@ -170,6 +192,31 @@ class TestReports:
         assert len(data["results"]) == len(report.results)
         assert data["results"][0]["check_id"] == "closed_form_equals_recursion"
         assert data["config"] == {"max_n": 1}
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            verify.VerificationReport(
+                [
+                    verify.CheckResult("demo", {"n": 2, "k": 1}, "fail", "L - 1", "L + 1"),
+                    verify.CheckResult("demo", {"n": 3, "p": 5}, "skipped", reason="over budget"),
+                    verify.CheckResult("q\"uote", {"back\\slash": 1}, "pass", "a\nb", "\u00e9"),
+                    verify.CheckResult("no_params", {}, "pass", "1", "1"),
+                ],
+                {"max_n": 3, "primes": [3, 5], "label": "caf\u00e9 \"\\\n"},
+            ),
+            verify.VerificationReport([], {"max_n": 0}),
+            verify.VerificationReport([verify.CheckResult("demo", {"n": 1}, "pass", "1", "1")]),
+            verify.VerificationReport([]),
+        ],
+        ids=["fail-skip-escapes-empty-params", "no-results", "no-config", "empty"],
+    )
+    def test_to_json_is_json_dumps_with_indent(self, report):
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+
+    def test_default_suite_to_json_is_json_dumps_with_indent(self):
+        report = verify.run_full_suite()
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
 
     def test_failures_render_both_sides(self):
         result = verify._check("demo", {"n": 1}, [1, 2], [1, 3])
