@@ -7,10 +7,11 @@ written as text (:meth:`motivic.MotivicClass.to_json`, the table row by
 row, and :meth:`verify.VerificationReport.to_json`); the rest takes ``json.dumps``.
 
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 budget
-refusal. Only the commands that enumerate (count --brute-force, fibers,
-verify) read the budget: --budget if given, else the SYMRANK_BUDGET
-environment variable, else the library default. The oracle rejects a
-budget below 0 or above 2^63 - 1.
+refusal, 4 output not written (quietly for a closed pipe). Only the
+commands that enumerate (count --brute-force, fibers, verify) read the
+budget: --budget if given, else the SYMRANK_BUDGET environment variable,
+else the library default. The oracle rejects a budget below 0 or above
+2^63 - 1.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_OUTPUT = 4
 
 
 class UsageError(ValueError):
@@ -294,7 +296,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so that a failure is caught
+        return status
+    except BrokenPipeError:
+        try:  # the reader is gone: the flush at exit goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # no file descriptor behind this stdout
+        return EXIT_OUTPUT
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except ffield.BudgetExceeded as exc:
         # An explicit --budget wins over the variable, so only it can help then.
         hint = "--budget" if args.budget is not None else f"--budget or {BUDGET_ENV}"

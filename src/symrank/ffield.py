@@ -484,12 +484,10 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
     _space_size(n, p, budget)
     base = n + 1
     acc = np.zeros((n + 1) * base, dtype=np.int64)
-    # Sized to the walk's largest chunk; made before any per-group array (fewer page faults).
-    groups = list(_minor_groups(n - 1, n, _CHUNK, p))
-    capacity = max(len(minors) * slices[0][0].shape[1] for minors, _, slices in groups)
-    dense = np.empty((n, n, capacity), dtype=np.int16)
-    scratch = _ScratchField(p, n, capacity)
-    for minor_idx, weight, row_slices in groups:
+    # No chunk exceeds _CHUNK; np.empty touches only the pages a chunk uses.
+    dense = np.empty((n, n, _CHUNK), dtype=np.int16)
+    scratch = _ScratchField(p, n, _CHUNK)
+    for minor_idx, weight, row_slices in _minor_groups(n - 1, n, _CHUNK, p):
         minors = _dense_batch(minor_idx, n - 1, p)
         minor_ranks = _batched_rank(minors, scratch) * base
         for rows, row_weights in row_slices:

@@ -18,9 +18,10 @@ Every factor the classes are built from has the shape L^a (L^m - 1).
 Multiplying or dividing by such a binomial takes a shifted pass over
 slices, with no Python loop over coefficients: the product is the
 operand shifted by m minus itself, and the quotient is a running sum in
-each residue class mod m. Every other operand takes schoolbook
-multiplication or long division. A signed sum of shifted terms, as the
-recursion and strata sums take, fills one buffer (:func:`shifted_sum`).
+each residue class mod m. Every other divisor takes long division.
+Every sum, difference, negation, schoolbook product and polynomial built
+from terms is one integer-weighted sum of shifted terms in one buffer
+(:func:`shifted_sum`), as are the recursion and strata sums.
 """
 
 from __future__ import annotations
@@ -56,15 +57,8 @@ class LaurentPolynomial:
     def __init__(self, terms: Mapping[int, int] | None = None):
         if terms and min(terms) < 0:
             raise ValueError(f"negative exponent {min(terms)}: L is never inverted")
-        cleaned = {int(e): int(c) for e, c in terms.items() if c != 0} if terms else {}
-        if not cleaned:
-            self._lo, self._coeffs = 0, ()
-            return
-        lo = min(cleaned)
-        coeffs = [0] * (max(cleaned) - lo + 1)
-        for exp, coeff in cleaned.items():
-            coeffs[exp - lo] = coeff
-        self._lo, self._coeffs = lo, tuple(coeffs)
+        p = shifted_sum((monomial(c, e), 0, 1) for e, c in (terms or {}).items())
+        self._lo, self._coeffs = p._lo, p._coeffs
 
     def terms(self) -> dict[int, int]:
         """The exponent -> coefficient map (zero-free)."""
@@ -80,38 +74,22 @@ class LaurentPolynomial:
 
     # -- ring operations ------------------------------------------------
 
-    def _combine(self, other: LaurentPolynomial, op) -> LaurentPolynomial:
-        """``op`` (add or sub) applied coefficient-wise, slices aligned."""
-        a, b = self._coeffs, other._coeffs
-        if not b:
-            return self
-        if not a:
-            return other if op is add else -other
-        alo, blo = self._lo, other._lo
-        lo = min(alo, blo)
-        out = [0] * (max(alo + len(a), blo + len(b)) - lo)
-        i = alo - lo
-        out[i : i + len(a)] = a
-        j = blo - lo
-        out[j : j + len(b)] = map(op, out[j : j + len(b)], b)
-        return _stripped(lo, out)
-
     def __add__(self, other: int | LaurentPolynomial) -> LaurentPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._combine(other, add)
+        return shifted_sum(((self, 0, 1), (other, 0, 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPolynomial:
-        return _canonical(self._lo, tuple(-c for c in self._coeffs))
+        return shifted_sum(((self, 0, -1),))
 
     def __sub__(self, other: int | LaurentPolynomial) -> LaurentPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._combine(other, sub)
+        return shifted_sum(((self, 0, 1), (other, 0, -1)))
 
     def __rsub__(self, other: int | LaurentPolynomial) -> LaurentPolynomial:
         return (-self) + other
@@ -120,33 +98,18 @@ class LaurentPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        lo = self._lo + other._lo
-        m = _binomial_degree(a)
+        a, b = (self, other) if len(self._coeffs) <= len(other._coeffs) else (other, self)
+        m = _binomial_degree(a._coeffs) if a._coeffs else 0
         if m:
             # b * (L^m - 1): b shifted up by m, minus b. The ends are
             # -b[0] and b[-1], both nonzero.
-            out = [0] * m + list(b)
-            out[: len(b)] = map(sub, out[: len(b)], b)
-            return _canonical(lo, tuple(out))
-        # Schoolbook, one row per nonzero coefficient of the shorter
-        # operand. Z is a domain, so the end coefficients stay nonzero.
-        # Rows for +-1 skip the scaling: a monomial L^a, the other
-        # common factor, is one such row.
-        width = len(b)
-        out = [0] * (len(a) + width - 1)
-        for i, c in enumerate(a):
-            if c == 1:
-                out[i : i + width] = map(add, out[i : i + width], b)
-            elif c == -1:
-                out[i : i + width] = map(sub, out[i : i + width], b)
-            elif c:
-                out[i : i + width] = map(add, out[i : i + width], map(c.__mul__, b))
-        return _canonical(lo, tuple(out))
+            coeffs = b._coeffs
+            out = [0] * m + list(coeffs)
+            out[: len(coeffs)] = map(sub, out[: len(coeffs)], coeffs)
+            return _canonical(a._lo + b._lo, tuple(out))
+        # Schoolbook: one shifted, scaled copy of the longer operand per
+        # nonzero coefficient of the shorter.
+        return shifted_sum((b, a._lo + i, c) for i, c in enumerate(a._coeffs) if c)
 
     __rmul__ = __mul__
 
@@ -296,23 +259,29 @@ class LaurentPolynomial:
 
 
 def shifted_sum(terms) -> LaurentPolynomial:
-    """The sum of sign * L^shift * P over the (P, shift, sign) of ``terms``,
-    sign +1 or -1, as the chained operators give it, in one zero buffer with
-    one slice pass per term; a term reaching below L^0 raises ``ValueError``.
+    """The sum of c * L^shift * P over the (P, shift, c) of ``terms``, c a
+    nonzero integer, in one buffer with one slice pass per term; a term
+    reaching below L^0 raises ``ValueError``.
 
-    >>> shifted_sum(((L + 1, 2, 1), (L**2, 0, -1), (ONE, 1, 1)))
-    LaurentPolynomial('L^3 + L')
+    >>> shifted_sum(((L + 1, 2, 1), (L**2, 0, -1), (ONE, 1, 1), (L - 1, 0, 3)))
+    LaurentPolynomial('L^3 + 4L - 3')
     """
-    spans = [(p._lo + s, p._coeffs, add if sign > 0 else sub) for p, s, sign in terms if p._coeffs]
+    spans = [(p._lo + s, p._coeffs, c) for p, s, c in terms if p._coeffs]
     if not spans:
         return ZERO
     lo = min(start for start, _, _ in spans)
     if lo < 0:
         raise ValueError(f"negative exponent {lo}: L is never inverted")
     out = [0] * (max(start + len(coeffs) for start, coeffs, _ in spans) - lo)
-    for start, coeffs, op in spans:
+    for k, (start, coeffs, c) in enumerate(spans):
         i = start - lo
-        out[i : i + len(coeffs)] = map(op, out[i : i + len(coeffs)], coeffs)
+        j = i + len(coeffs)
+        # +-1 take a plain add or sub pass; any other c scales the slice.
+        row = coeffs if c in (1, -1) else map(c.__mul__, coeffs)
+        if k:
+            out[i:j] = map(sub if c == -1 else add, out[i:j], row)
+        else:  # the first term lands on zeros: copied, not added
+            out[i:j] = map(neg, coeffs) if c == -1 else row
     return _stripped(lo, out)
 
 
@@ -331,7 +300,7 @@ def _stripped(lo: int, coeffs: list[int]) -> LaurentPolynomial:
     start = 0
     while start < hi and not coeffs[start]:
         start += 1
-    return _canonical(lo + start, tuple(coeffs[start:hi]))
+    return _canonical(lo + start, tuple(coeffs[start:hi] if start or hi < len(coeffs) else coeffs))
 
 
 def _binomial_degree(coeffs: tuple[int, ...]) -> int:
@@ -359,7 +328,7 @@ def monomial(coeff: int, exp: int) -> LaurentPolynomial:
     return _canonical(int(exp), (int(coeff),) if coeff else ())
 
 
-ZERO = LaurentPolynomial()
+ZERO = _canonical(0, ())
 ONE = monomial(1, 0)
 #: The class of the affine line; point counting substitutes L = q.
 L = monomial(1, 1)

@@ -374,10 +374,9 @@ def tate_decomposition(c: MotivicClass) -> list[TateSummand]:
             summands.append(TateSummand(exp, 2 * exp, coeff))
         else:
             summands.append(TateSummand(exp, 2 * exp + 1, -coeff))
-    signed_sum = ZERO
-    for s in summands:
-        sign = -1 if s.shift % 2 else 1
-        signed_sum = signed_sum + monomial(sign * s.multiplicity, s.twist)
+    signed_sum = shifted_sum(
+        (ONE, s.twist, -s.multiplicity if s.shift % 2 else s.multiplicity) for s in summands
+    )
     assert signed_sum == c.value, "signed sum failed to reconstruct the class"
     return summands
 

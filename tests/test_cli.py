@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -521,6 +522,72 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: symrank")
     assert proc.stderr == ""
+
+
+class FailingStdout:
+    """A stdout with no file descriptor whose ``write`` (or only ``flush``,
+    where the interpreter would flush at exit) raises ``error``."""
+
+    def __init__(self, error: OSError, on: str):
+        self.error, self.on = error, on
+
+    def write(self, text: str) -> int:
+        if self.on == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self) -> None:
+        raise self.error
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+@pytest.mark.parametrize(
+    "error,err",
+    [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+        (
+            OSError(errno.ENOSPC, "No space left on device"),
+            "error: cannot write output: [Errno 28] No space left on device\n",
+        ),
+    ],
+    ids=["broken-pipe", "disk-full"],
+)
+@pytest.mark.parametrize(
+    "argv", ["class --n 1 --k 1", "table --max-n 3 --format json", "verify --max-n 1 --primes 3"]
+)
+def test_failed_write_is_not_verification_failure(capsys, monkeypatch, argv, error, err, on):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error, on))
+    assert main(argv.split()) == 4
+    assert capsys.readouterr().err == err  # quiet for a closed pipe, no traceback
+
+
+def test_failed_write_during_failed_verification_is_output_failure(capsys, monkeypatch):
+    # A verification failure exits 1 (test_failed_check_is_verification_failure),
+    # but only once its report is written.
+    closed_form = motivic.closed_form
+
+    def wrong_at_1_1(n, k):
+        c = closed_form(n, k)
+        return motivic.MotivicClass(c.descriptor, c.value + 1, c.route) if (n, k) == (1, 1) else c
+
+    monkeypatch.setattr(motivic, "closed_form", wrong_at_1_1)
+    assert run(capsys, "verify", "--max-n", "1", "--primes", "3")[0] == 1
+    monkeypatch.setattr(sys, "stdout", FailingStdout(OSError(errno.ENOSPC, "full"), "write"))
+    assert main(["verify", "--max-n", "1", "--primes", "3"]) == 4
+
+
+def test_closed_pipe_exits_quietly():
+    # As `symrank table --max-n 30 | head -1`: far more output than a pipe holds.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symrank", "table", "--max-n", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"(0,0): 1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 4
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 #: Lines of the README's CLI block whose output the block states.

@@ -132,31 +132,42 @@ def test_no_zero_coefficients_survive_operations():
             assert all(c != 0 for c in result.terms().values())
 
 
-def chained(terms) -> LaurentPolynomial:
-    """The sum shifted_sum computes, by the ring operators."""
-    total = ZERO
-    for poly, shift, sign in terms:
-        term = monomial(1, shift) * poly
-        total = total + term if sign > 0 else total - term
-    return total
+def chained(terms) -> dict[int, int]:
+    """The terms of the sum shifted_sum computes, accumulated exponent by
+    exponent from each operand's terms(), with none of the package's
+    arithmetic."""
+    total: dict[int, int] = {}
+    for poly, shift, c in terms:
+        for exp, coeff in poly.terms().items():
+            total[exp + shift] = total.get(exp + shift, 0) + c * coeff
+    return {exp: coeff for exp, coeff in total.items() if coeff}
+
+
+def product_terms(p: LaurentPolynomial, q: LaurentPolynomial) -> dict[int, int]:
+    """The terms of p * q: p shifted and scaled by each term of q."""
+    return chained((p, exp, coeff) for exp, coeff in q.terms().items())
 
 
 def assert_canonical(poly: LaurentPolynomial) -> None:
-    """Stored as the constructor stores the same terms: no zero at either
-    end, the valuation first, and zero as the empty tuple at 0."""
-    canon = LaurentPolynomial(poly.terms())
-    assert (poly._lo, poly._coeffs) == (canon._lo, canon._coeffs)
+    """Stored canonically: zero as the empty tuple at 0, anything else as
+    a tuple with no zero at either end, starting at the valuation."""
+    assert type(poly._coeffs) is tuple
+    if not poly._coeffs:
+        assert (poly._lo, poly._coeffs) == (0, ())
+    else:
+        assert poly._coeffs[0] and poly._coeffs[-1]
+        assert poly._lo == min(poly.terms())
 
 
 def test_shifted_sum_matches_chained_operators_randomized():
     rng = random.Random(31)
     for _ in range(300):
         terms = [
-            (random_poly(rng), rng.randint(0, 20), rng.choice((1, -1)))
+            (random_poly(rng), rng.randint(0, 20), rng.choice((1, -1, 2, -2, 5)))
             for _ in range(rng.randint(0, 6))
         ]
         result = shifted_sum(terms)
-        assert result == chained(terms)
+        assert result.terms() == chained(terms)
         assert_canonical(result)
 
 
@@ -172,16 +183,71 @@ def test_shifted_sum_matches_chained_operators_randomized():
         ([(2 * L + 3, 0, -1), (L, 5, -1)], -(L**6) - 2 * L - 3),
         ([(L**5 - 1, 0, 1), (ONE, 0, 1), (L**5, 0, -1)], ZERO),
         ([(L**3 + L, 0, 1), (L**3, 0, -1)], L),
+        ([(L + 1, 1, 3), (L**2, 0, -3), (L - 1, 0, -2)], L + 2),
+        ([(2 * L - 1, 0, 5), (L, 0, -10), (ONE, 0, 5)], ZERO),
     ],
     ids=[
         "empty", "zero-operands", "cancels", "cancels-shifted", "cancels-to-gap",
         "gap-of-zeros", "negative-signs", "cancels-both-ends", "cancels-top",
+        "scaled", "scaled-cancels",
     ],
 )
 def test_shifted_sum_cases(terms, expected):
     result = shifted_sum(terms)
-    assert result == expected == chained(terms)
+    assert result == expected
+    assert result.terms() == chained(terms)
     assert_canonical(result)
+
+
+def test_operators_match_dict_references_randomized():
+    rng = random.Random(1717)
+    for _ in range(300):
+        p, q = random_poly(rng), random_poly(rng)
+        k = rng.randint(-9, 9)
+        const = monomial(k, 0)
+        cases = [
+            (p + q, [(p, 0, 1), (q, 0, 1)]),
+            (p - q, [(p, 0, 1), (q, 0, -1)]),
+            (-p, [(p, 0, -1)]),
+            (k - p, [(const, 0, 1), (p, 0, -1)]),
+            (p - k, [(p, 0, 1), (const, 0, -1)]),
+            (k + p, [(const, 0, 1), (p, 0, 1)]),
+        ]
+        for result, terms in cases:
+            assert result.terms() == chained(terms)
+            assert_canonical(result)
+
+
+def test_mul_matches_dict_reference_randomized():
+    rng = random.Random(2718)
+    for _ in range(300):
+        p = random_poly(rng)
+        a, m = rng.randint(0, 4), rng.randint(1, 12)
+        b = binomial(a, m)
+        assert (b._lo, b._coeffs) == (a, (-1,) + (0,) * (m - 1) + (1,))
+        factors = [
+            random_poly(rng),
+            b,
+            monomial(rng.choice((-3, -1, 1, 2)), rng.randint(0, 9)),
+            ZERO,
+        ]
+        for q in factors:
+            for result in (p * q, q * p):
+                assert result.terms() == product_terms(p, q)
+                assert_canonical(result)
+        k = rng.randint(-9, 9)
+        for result in (p * k, k * p):
+            assert result.terms() == product_terms(p, monomial(k, 0))
+            assert_canonical(result)
+
+
+def test_constructor_stores_the_given_terms():
+    rng = random.Random(5150)
+    for _ in range(300):
+        terms = {rng.randint(0, 12): rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
+        poly = LaurentPolynomial(terms)
+        assert poly.terms() == {e: c for e, c in terms.items() if c}
+        assert_canonical(poly)
 
 
 def test_shifted_sum_rejects_terms_below_constant():
