@@ -231,8 +231,14 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFICATION_FAILURE if report.has_failures else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer swallows OSError; main reports it instead.
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symrank",
         description=(
             "Exact classes of symmetric-matrix rank strata as polynomials in L, "
@@ -292,11 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        status = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # after --help, or a usage error on stderr
+            status = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        else:
+            status = args.func(args)
         sys.stdout.flush()  # here, not at exit, so that a failure is caught
         return status
     except BrokenPipeError:

@@ -501,12 +501,8 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
             keys = ranks.reshape(len(minor_idx), -1) + minor_ranks[:, None] + moved
             ones, others = np.bincount(keys.ravel(), minlength=2 * acc.size).reshape(2, -1)
             acc += weight * (ones + (p - 1) * others)
-    table: dict[tuple[int, int], int] = {}
-    for r in range(n + 1):
-        for s in range(n + 1):
-            c = int(acc[r * base + s])
-            if c:
-                table[(r, s)] = c
+    grid = acc.reshape(n + 1, base)
+    table = {(int(r), int(s)): int(grid[r, s]) for r, s in zip(*np.nonzero(grid))}
     return FiberCensus(n, p, table)
 
 

@@ -196,9 +196,8 @@ class LaurentPolynomial:
     # -- comparisons and rendering ---------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = monomial(other, 0)
-        if not isinstance(other, LaurentPolynomial):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._lo == other._lo and self._coeffs == other._coeffs
 

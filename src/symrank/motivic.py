@@ -19,8 +19,9 @@ the package's verification layer insists they agree everywhere.
 This module alone maps a rank condition to the ranks it covers
 (:meth:`VarietyDescriptor.ranks`) and a route to the function computing
 an exact-rank class (:func:`class_exact`); every other class sums
-exact-rank classes over its ranks. The bundle identity of the rank-<=k
-locus is the verification layer's ``at_most_bundle`` check.
+exact-rank classes over its ranks, or, for the projective full-rank
+class, divides the full-rank one by (L - 1). The bundle identity of the
+rank-<=k locus is the verification layer's ``at_most_bundle`` check.
 
 Everything here is a pure function over immutable values, behind two
 memo tables: the recursion's, one entry per (n, k) and idempotent per
@@ -343,14 +344,12 @@ def full_rank_product(n: int) -> MotivicClass:
 
 
 def projective_full_rank(n: int) -> MotivicClass:
-    """The class of full-rank matrices up to scalar.
-
-    Scalars act freely on nonzero matrices, so the full-rank class is
-    (L - 1) times the projective one; the division is always exact.
-    """
+    """The class of full-rank matrices up to scalar: :func:`class_exact`
+    (n, n) over (L - 1), exact as scalars act freely on nonzero matrices.
+    A remainder (a wrong full-rank class) raises ``NonzeroRemainder``."""
     if n < 1:
         raise ValueError(f"projective full rank needs n >= 1, got {n}")
-    value = _recursive_value(n, n).div_exact(L - 1)
+    value = class_exact(n, n).value.div_exact(L - 1)
     return MotivicClass(VarietyDescriptor.projective_full(n), value, ROUTE_QUOTIENT)
 
 

@@ -405,6 +405,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_non_divisible_full_rank_class_is_a_report(self, capsys, monkeypatch):
+        # (L - 1) no longer divides [2, 2]: a failed check, not a traceback.
+        recursive_value = motivic._recursive_value
+        monkeypatch.setattr(
+            motivic,
+            "_recursive_value",
+            lambda n, k: recursive_value(n, k) + (1 if (n, k) == (2, 2) else 0),
+        )
+        argv = ("verify", "--max-n", "3", "--primes", "3", "--format", "json")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        failed = {r["check_id"] for r in report["results"] if r["status"] == "fail"}
+        assert "projective_divisibility" in failed
+
     def test_bundle_fault_is_verification_failure(self, capsys, monkeypatch):
         class_at_most = motivic.class_at_most
 
@@ -553,7 +568,14 @@ class FailingStdout:
     ids=["broken-pipe", "disk-full"],
 )
 @pytest.mark.parametrize(
-    "argv", ["class --n 1 --k 1", "table --max-n 3 --format json", "verify --max-n 1 --primes 3"]
+    "argv",
+    [
+        "class --n 1 --k 1",
+        "table --max-n 3 --format json",
+        "verify --max-n 1 --primes 3",
+        "--help",
+        "verify --help",
+    ],
 )
 def test_failed_write_is_not_verification_failure(capsys, monkeypatch, argv, error, err, on):
     monkeypatch.setattr(sys, "stdout", FailingStdout(error, on))

@@ -185,6 +185,19 @@ class TestProjectiveFullRank:
                 counted = ffield.projective_count(n, ffield.PrimeField(p))
                 assert motivic.projective_full_rank(n).value.eval_int(p) == counted
 
+    def test_divides_the_class_that_class_exact_gives(self, monkeypatch):
+        # As class_at_most sums its strata, the quotient reads its full-rank
+        # class through class_exact.
+        class_exact = motivic.class_exact
+
+        def times_l(n, k, route="recursion"):
+            c = class_exact(n, k, route)
+            return motivic.MotivicClass(c.descriptor, c.value * L, c.route)
+
+        monkeypatch.setattr(motivic, "class_exact", times_l)
+        assert motivic.class_at_most(2, 2).value == L**4
+        assert motivic.projective_full_rank(2).value == L**3
+
     def test_divisibility_for_all_strata(self):
         for n in range(1, 13):
             for k in range(1, n + 1):

@@ -13,6 +13,17 @@ def entry_counts(report):
     return report.summary
 
 
+def wrong_full_rank_class_at_2(monkeypatch):
+    """Make [2, 2] one more than it is, so (L - 1) no longer divides it;
+    the recursion's own table, and so every other class, stays right."""
+    recursive_value = motivic._recursive_value
+    monkeypatch.setattr(
+        motivic,
+        "_recursive_value",
+        lambda n, k: recursive_value(n, k) + (1 if (n, k) == (2, 2) else 0),
+    )
+
+
 class TestFormulaVsRecursion:
     def test_small_grid_all_pass(self):
         report = verify.verify_formula_vs_recursion(2)
@@ -162,6 +173,30 @@ class TestProjective:
         patch_value(None)
         with pytest.raises(AttributeError):
             verify.verify_projective(1, [3], budget=0)
+
+    def test_non_divisible_class_fails_and_skips_its_counts(self, monkeypatch):
+        wrong_full_rank_class_at_2(monkeypatch)
+        results = verify.verify_projective(3, [3]).results
+        assert len(results) == 3 + 3
+        failed = [r for r in results if r.status == "fail"]
+        assert [(r.check_id, r.params) for r in failed] == [("projective_divisibility", {"n": 2})]
+        assert failed[0].expected == "exact division by L - 1"
+        assert failed[0].actual.startswith("NonzeroRemainder: ")
+        skipped = [(r.check_id, r.params, r.reason) for r in results if r.status == "skipped"]
+        assert skipped == [("projective_count", {"n": 2, "p": 3}, "[n, n] is not divisible by L - 1")]
+
+    def test_one_quotient_per_n(self, monkeypatch):
+        calls = []
+        projective_full_rank = motivic.projective_full_rank
+
+        def counted(n):
+            calls.append(n)
+            return projective_full_rank(n)
+
+        monkeypatch.setattr(motivic, "projective_full_rank", counted)
+        report = verify.verify_projective(3, [3, 5])
+        assert [r.status for r in report.results] == ["pass"] * (3 + 6)
+        assert calls == [1, 2, 3]
 
     def test_trivial_projective_point(self):
         report = verify.verify_projective(1, [3])
