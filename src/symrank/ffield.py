@@ -22,17 +22,17 @@ matrices over N one to one onto those over cN, congruence fixes N, and
 both keep every rank, which is linear algebra, not the filtration the
 oracle tests. A chunk is a group of walked minors times a slice of one
 decoded table of walked rows. Rank histograms (:func:`enumerate_rank_counts`)
-reduce each minor once by Gauss-Jordan, batched across minors, and then
-test each border (the first row and column below the corner) against it
-by looking it up in a table of its dot products with the distinct rows
-of the group's reduction maps, at most 2(n-1) ``_CHUNK`` entries. The p
-corners of a (minor, border) pair change the rank only through whether
-the 1 x 1 corner a equals one value q, which exactly one a does, so each
-pair is tallied once for all p of them without computing q, in chunks of
-at most ``_CHUNK`` pairs. The fiber census ranks whole matrices with
-:func:`_batched_rank`, in lockstep, one pivot column at a time, in
-int16, which is exact because every entry stays in (-p^2, p^2) for
-p <= 97. The walk is checked from outside: by the point counts against
+reduce each minor N once by forward elimination, batched across minors,
+to its left-kernel map Z, and then test each border b (the first row and
+column below the corner) against it by looking it up in a table of its
+dot products with the distinct rows of the group's maps, at most (n-1)
+``_CHUNK`` entries. N is symmetric, so Z b != 0 gives rank r + 2 for
+every corner a, and N x = b gives r + [a != x^T N x], r for exactly one
+a; each pair is tallied once for all p corners without computing x,
+in chunks of at most ``_CHUNK`` pairs. The fiber census ranks whole
+matrices with :func:`_batched_rank`, in lockstep, one pivot column at a
+time, in int16, which is exact because every entry stays in (-p^2, p^2)
+for p <= 97. The walk is checked from outside: by the point counts against
 the formula, and by the tests' tallies of every matrix of the space.
 Budgets bound the space's size p^(n(n+1)/2), never the pairs ranked.
 """
@@ -321,23 +321,20 @@ def _minor_groups(k: int, width: int, span: int, p: int):
 
 
 def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
-    """Gauss-Jordan elimination of the k x k minors at packed indices
+    """Forward elimination of the k x k minors at packed indices
     ``minors``, batched across them, as the bordered kernel needs it.
 
     Each minor N is reduced together with an identity block, ``[N | I]``
-    -> ``[R | E]`` with E N = R, under the same pivot rule as
+    -> ``[R | E]`` with E N = R, under the pivot rule of
     :func:`_batched_rank`: each column's pivot is the first unused row
-    with a nonzero entry there, rows are never swapped, and the pivot row
-    is scaled to a unit pivot and cleared from every other row. It works
-    in int16, exact for the reason :func:`_batched_rank` is.
+    with a nonzero entry there, rows are never swapped, and only the rows
+    not yet used are reduced by it. The k - r rows that never pivot end
+    with zeros in R, so their rows of E form Z, Z N = 0: they are
+    independent and span the left kernel of N. It works in int16, exact
+    for the reason :func:`_batched_rank` is.
 
-    Returns the rank r of each minor, shape (m,), and the rows of the
-    stacked maps ``[Z; W]`` as base-p keys (entry j is digit j), shape
-    (2k, m):
-
-    - Z: the rows of E that are not pivot rows (pivot rows zeroed);
-    - W = I - R^T S, with S[i, c] = 1 when row i pivots column c;
-      W b is b with its pivot-column entries cleared by R's pivot rows.
+    Returns the rank r of each minor, shape (m,), and the rows of Z as
+    base-p keys (entry j is digit j), shape (k, m), a pivot row's key 0.
     """
     p = field.p
     m = minors.shape[0]
@@ -346,39 +343,31 @@ def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
     aug[:, k:] = np.eye(k, dtype=np.int16)[:, :, None]
     scratch = np.empty_like(aug)
     free = np.ones((k, m), dtype=bool)
-    select = np.zeros((k, k, m), dtype=bool)  # S, batch last
+    pivot = np.empty((k, m), dtype=bool)
     found = np.empty(m, dtype=bool)
     for col in range(k):
-        pivot = select[:, col]
         cand = free & (aug[:, col] != 0)
         found[:] = False
         for i in range(k):
             np.greater(cand[i], found, out=pivot[i])  # a candidate, none above
             found |= cand[i]
         free &= ~pivot
-        # The pivot row scaled to a unit pivot; zero where there is none.
+        # The pivot row (zero where there is none) and each free row's
+        # multiple of it; every other row keeps a zero factor.
         row = (aug * pivot[:, None, :]).sum(axis=0, dtype=np.int16)
-        row *= field._inv_array[row[col]]
-        _reduce(row, p, scratch[0])
-        aug -= (aug[:, col] * ~pivot)[:, None, :] * row
-        np.copyto(aug, row, where=pivot[:, None, :])
+        factors = aug[:, col] * free * field._inv_array[row[col]]
+        _reduce(factors, p, scratch[:, 0])
+        aug -= factors[:, None, :] * row
         _reduce(aug, p, scratch)
-    reduced, e = aug[:, :k], aug[:, k:]
-    maps = np.concatenate(
-        [
-            e * free[:, None, :],
-            np.eye(k, dtype=np.int16)[:, :, None] - np.einsum("ijm,ilm->jlm", reduced, select),
-        ]
-    )
-    _reduce(maps, p, np.empty_like(maps))
-    return k - free.sum(axis=0), np.einsum("ijm,j->im", maps, p ** np.arange(k))
+    kernel = aug[:, k:] * free[:, None, :]
+    return k - free.sum(axis=0), np.einsum("ijm,j->im", kernel, p ** np.arange(k))
 
 
 def _nonzero_table(rows: np.ndarray, borders: np.ndarray, p: int) -> np.ndarray:
-    """Whether each of the (d, k) ``rows`` has a nonzero dot product mod p
-    with each border among the columns of ``borders`` (k, nb): a (d, nb)
-    table, from one float32 matmul. Entries are integers below p, so every
-    dot product is at most k (p-1)^2, below 2^24, and exact in float32.
+    """Whether each of the (d, k) ``rows`` of Z has a nonzero dot product
+    mod p with each border among the columns of ``borders`` (k, nb): a
+    (d, nb) table, from one float32 matmul. Entries are integers below p,
+    so every dot product is at most k (p-1)^2, below 2^24, exact in float32.
     """
     dots = rows.astype(np.float32) @ borders.astype(np.float32)
     return np.fmod(dots, p) != 0
@@ -397,24 +386,24 @@ def _bordered_rank_chunks(n: int, field: PrimeField):
     """The (minor, border) pairs of the symmetric n x n matrices, n >= 1,
     over one minor per scaling orbit and one border per orbit of b -> cb
     (:func:`_minor_groups`), in chunks of at most ``_CHUNK`` pairs, each
-    a tuple ``(weights, minor_rank, u_nonzero, w_nonzero)`` of arrays of
-    shapes (nb,), (m,), (m, nb) and (m, nb) for m minors and one slice of
-    nb borders, ``weights`` the pairs each border's column stands for. Read
-    minor-major and chunk by chunk, the pairs run in packed-index order
-    over the walked minors and borders, each standing for its p corners.
+    a tuple ``(weights, minor_rank, outside)`` of arrays of shapes (nb,),
+    (m,) and (m, nb) for m minors and one slice of nb borders, ``weights``
+    the pairs each border's column stands for. Read minor-major and chunk
+    by chunk, the pairs run in packed-index order over the walked minors
+    and borders, each standing for its p corners.
 
-    The matrix [[a, b^T], [b, N]] reduces, against R's unit pivots, to an
-    r x r identity block beside [[a - q, w^T], [u, 0]], where u = Z b,
-    w = W b (:func:`_reduce_minors`) and q = b^T S^T E b. So its rank is
-    r + [u != 0] + [w != 0] + [u = 0 and w = 0 and a != q]: one corner of
-    a pair with u = w = 0 keeps rank r and the other p - 1 have r + 1,
-    whatever q is, so q is never computed.
+    ``outside`` is Z b != 0 (:func:`_reduce_minors`): b lies outside the
+    column space of N, the orthogonal complement of its left kernel. Then
+    [[a, b^T], [b, N]] has rank r + 2 for every corner a, since N is
+    symmetric and b^T lies outside its row space too. Otherwise N x = b
+    for some x, and the rank is r + [a != x^T N x]: one corner keeps rank
+    r and the other p - 1 have r + 1, so x is never computed.
 
-    Every minor of a group is eliminated once. The group's 2k m rows of Z
-    and W take at most min(p^k, 2k m) distinct values, and each border
-    slice is tested against those once (:func:`_nonzero_table`), so a
-    table holds at most 2k ``_CHUNK`` entries; u != 0 and w != 0 are then
-    ORs of k gathered table rows each.
+    Every minor of a group is eliminated once. The group's k m rows of Z
+    take at most min(p^k, k m) distinct values, and each border slice is
+    tested against those once (:func:`_nonzero_table`), so a table holds
+    at most k ``_CHUNK`` entries; Z b != 0 is then an OR of k gathered
+    table rows.
     """
     p = field.p
     k = n - 1
@@ -425,9 +414,8 @@ def _bordered_rank_chunks(n: int, field: PrimeField):
         rows = _decode_digits(np.flatnonzero(present), k, p).T
         where = (np.cumsum(present) - 1)[keys]  # each key's row of the table
         for borders, border_weights in border_slices:
-            table = _nonzero_table(rows, borders, p)
-            u_nonzero, w_nonzero = _any_row(table, where[:k]), _any_row(table, where[k:])
-            yield weight * border_weights, minor_rank, u_nonzero, w_nonzero
+            outside = _any_row(_nonzero_table(rows, borders, p), where)
+            yield weight * border_weights, minor_rank, outside
 
 
 def enumerate_rank_counts(
@@ -438,12 +426,13 @@ def enumerate_rank_counts(
     per scaling orbit and one border per orbit of b -> cb.
 
     Each (minor, border) pair stands for its p corners: all p at rank
-    r + [u != 0] + [w != 0] when u or w is nonzero, else one at r and
-    p - 1 at r + 1; congruence by diag(c, 1, ..., 1) permutes the corners
-    of b onto those of cb. The pairs of each kind are counted per minor
-    as ``nonzero @ weights``, in int64, and summed per minor rank r.
-    Raises :class:`BudgetExceeded` with the exact required visit count if
-    the space is larger than ``budget``.
+    r + 2 when the border lies outside the minor's column space, else
+    one at r and p - 1 at r + 1; congruence by diag(c, 1, ..., 1)
+    permutes the corners of b onto those of cb. The pairs, and those of
+    them outside, are counted per minor as ``outside @ weights``, in
+    int64, and summed per minor rank r. Raises :class:`BudgetExceeded`
+    with the exact required visit count if the space is larger than
+    ``budget``.
     """
     if n < 0:
         raise ValueError(f"matrix size must be >= 0, got {n}")
@@ -451,21 +440,19 @@ def enumerate_rank_counts(
     _space_size(n, p, budget)
     if n == 0:
         return RankHistogram(0, p, (1,))
-    # Column r: pairs over rank-r minors, and those of them with u != 0,
-    # with w != 0 and with both.
-    tally = np.zeros((4, n), dtype=np.int64)
-    for weights, minor_rank, u_nonzero, w_nonzero in _bordered_rank_chunks(n, field):
-        per_minor = np.empty((4, len(minor_rank)), dtype=np.int64)
+    # Column r: pairs over rank-r minors, and those of them outside.
+    tally = np.zeros((2, n), dtype=np.int64)
+    for weights, minor_rank, outside in _bordered_rank_chunks(n, field):
+        per_minor = np.empty((2, len(minor_rank)), dtype=np.int64)
         per_minor[0] = weights.sum()
-        for row, nonzero in zip(per_minor[1:], (u_nonzero, w_nonzero, u_nonzero & w_nonzero)):
-            np.einsum("mb,b->m", nonzero, weights, out=row)  # the pairs of each minor
+        np.einsum("mb,b->m", outside, weights, out=per_minor[1])  # each minor's outside pairs
         tally += per_minor @ (minor_rank[:, None] == np.arange(n))
-    pairs, u, w, both = tally
-    free = pairs - u - w + both
+    pairs, outside = tally
+    inside = pairs - outside
     counts = np.zeros(n + 1, dtype=np.int64)
-    counts[:-1] += free  # a free pair's corner a = q keeps rank r
-    counts[1:] += (p - 1) * free + p * (u + w - 2 * both)
-    counts[2:] += p * both[:-1]  # a full-rank minor has u = w = 0
+    counts[:-1] += inside  # an inside pair's corner a = x^T N x keeps rank r
+    counts[1:] += (p - 1) * inside
+    counts[2:] += p * outside[:-1]  # a full-rank minor has no border outside
     return RankHistogram(n, p, tuple(int(c) for c in counts))
 
 

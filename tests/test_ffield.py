@@ -39,12 +39,12 @@ def det_mod(rows, cols, mat, p):
 def bordered_pairs(n, field):
     """The histogram kernel's (minor, border) pairs in packed-index order
     over the walked minors and borders, as three flat arrays: base = r +
-    [u != 0] + [w != 0], corner_free = (u = 0 and w = 0), and the weight,
-    the minor's orbit size times the border's."""
+    2 [outside], corner_free = not outside, and the weight, the minor's
+    orbit size times the border's."""
     chunks = list(ffield._bordered_rank_chunks(n, field))
-    base = [(r[:, None] + u + w).ravel() for _, r, u, w in chunks]
-    corner_free = [~(u | w).ravel() for _, _, u, w in chunks]
-    weights = [np.broadcast_to(weights, u.shape).ravel() for weights, _, u, _ in chunks]
+    base = [(r[:, None] + 2 * outside).ravel() for _, r, outside in chunks]
+    corner_free = [~outside.ravel() for _, _, outside in chunks]
+    weights = [np.broadcast_to(w, outside.shape).ravel() for w, _, outside in chunks]
     return np.concatenate(base), np.concatenate(corner_free), np.concatenate(weights)
 
 
@@ -334,6 +334,46 @@ class TestBorderedKernel:
         expected = tuple(np.bincount(np.repeat(ranks, weights), minlength=n + 1).tolist())
         assert ffield.enumerate_rank_counts(n, field).counts == expected
 
+    @pytest.mark.parametrize("k,p", [(1, 97), (2, 13), (3, 3), (3, 5)])
+    def test_reduce_minors_keys_span_the_left_kernel(self, k, p):
+        # Decoded, the keys of each walked minor N of rank r are a map Z
+        # with Z N = 0 whose k - r nonzero rows are independent: they span
+        # the left kernel, whose dimension is k - r.
+        field = PrimeField(p)
+        groups = ffield._minor_groups(k, k, ffield._CHUNK, p)
+        minors = np.concatenate([group for group, _, _ in groups])
+        rank, keys = ffield._reduce_minors(minors, k, field)
+        assert keys.shape == (k, len(minors))
+        dense = _dense_batch(minors, k, p)
+        assert np.array_equal(rank, _batched_rank(dense, field))
+        kernel = ffield._decode_digits(keys.ravel(), k, p).reshape(k, k, -1).transpose(1, 0, 2)
+        assert not (np.einsum("ijm,jlm->ilm", kernel.astype(np.int64), dense) % p).any()
+        assert np.array_equal((keys != 0).sum(axis=0), k - rank)
+        assert np.array_equal(_batched_rank(kernel, field), k - rank)
+
+    def test_planted_kernel_fault_changes_the_histogram(self, monkeypatch):
+        # Zeroing one nonzero row of Z for one nonzero rank-deficient minor
+        # hides the borders that only that row sees from the histogram.
+        reduce_minors = ffield._reduce_minors
+        planted = []
+
+        def faulty(minors, k, field):
+            rank, keys = reduce_minors(minors, k, field)
+            deficient = np.flatnonzero((0 < rank) & (rank < k))
+            if not planted and len(deficient):
+                j = deficient[0]
+                keys = keys.copy()
+                keys[np.flatnonzero(keys[:, j])[0], j] = 0
+                planted.append(minors[j])
+            return rank, keys
+
+        field = PrimeField(5)
+        expected = reference.full_walk_histogram(3, field)
+        assert ffield.enumerate_rank_counts(3, field) == expected
+        monkeypatch.setattr(ffield, "_reduce_minors", faulty)
+        assert ffield.enumerate_rank_counts(3, field) != expected
+        assert len(planted) == 1
+
     def test_dot_products_exact_in_float32(self):
         # The dot table's float32 matmul is exact while a dot product of
         # two vectors of n - 1 entries in [0, p), at most (n-1)(p-1)^2, is
@@ -485,8 +525,8 @@ class TestFiberCensus:
                 yield arrays
 
         monkeypatch.setattr(ffield, "_bordered_rank_chunks", recording_chunks)
-        # No dot table of a walk at size n holds more than 2(n-1) _CHUNK
-        # entries: at most 2(n-1) m distinct rows by nb borders.
+        # No dot table of a walk at size n holds more than (n-1) _CHUNK
+        # entries: at most (n-1) m distinct rows of Z by nb borders.
         nonzero_table = ffield._nonzero_table
         table_sizes = []
 
@@ -502,7 +542,7 @@ class TestFiberCensus:
             assert sum(ffield.fiber_census(n, PrimeField(p)).table.values()) == total
             table_sizes.clear()
             assert sum(ffield.enumerate_rank_counts(n, PrimeField(p)).counts) == total
-            assert 0 < max(table_sizes) <= 2 * (n - 1) * ffield._CHUNK
+            assert 0 < max(table_sizes) <= (n - 1) * ffield._CHUNK
         assert max(sizes) <= ffield._CHUNK
         assert max(chunk_sizes) <= ffield._CHUNK
 
