@@ -20,16 +20,18 @@ by diag(c, 1, ..., 1); each tally counts once per member of the orbit,
 except that a row with b = 0 stands for itself. Scaling maps the p^n
 matrices over N one to one onto those over cN, congruence fixes N, and
 both keep every rank, which is linear algebra, not the filtration the
-oracle tests. A chunk is a group of walked minors times a slice of one
-decoded table of walked rows. Rank histograms (:func:`enumerate_rank_counts`)
-reduce each minor N once by forward elimination, batched across minors,
-to its left-kernel map Z, and then test each border b (the first row and
-column below the corner) against it by looking it up in a table of its
-dot products with the distinct rows of the group's maps, at most (n-1)
-``_CHUNK`` entries. N is symmetric, so Z b != 0 gives rank r + 2 for
-every corner a, and N x = b gives r + [a != x^T N x], r for exactly one
-a; each pair is tallied once for all p corners without computing x,
-in chunks of at most ``_CHUNK`` pairs. The fiber census ranks whole
+oracle tests. The walk yields its minors in groups, the zero minor
+leading the first, each minor with its orbit size, and one decoded table
+of walked rows in slices. Rank histograms (:func:`enumerate_rank_counts`)
+reduce a group of at most ``_CHUNK`` // (n-1) minors N at once, by forward
+elimination, to their left-kernel maps Z, and then test each border b
+(the first row and column below the corner) against them in a table,
+per slice of borders, of its dot products with the distinct rows of the
+group's maps: at most (n-1) ``_CHUNK`` entries, packed 64 borders to a
+word. N is symmetric, so Z b != 0 gives rank r + 2 for every corner a,
+and N x = b gives r + [a != x^T N x], r for exactly one a; each pair is
+tallied once for all p corners without computing x, by bit counts over
+at most ``_CHUNK`` pairs at a time. The fiber census ranks whole
 matrices with :func:`_batched_rank`, in lockstep, one pivot column at a
 time, in int16, which is exact because every entry stays in (-p^2, p^2)
 for p <= 97. The walk is checked from outside: by the point counts against
@@ -219,8 +221,8 @@ def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
 
 def _decode_digits(indices: np.ndarray, count: int, p: int) -> np.ndarray:
     """Base-p digits of ``indices``, digit-major: row j holds digit j of
-    every index, least significant first."""
-    digits = np.empty((count, indices.shape[0]), dtype=np.int32)
+    every index, least significant first, in int16 like the kernels."""
+    digits = np.empty((count, indices.shape[0]), dtype=np.int16)
     rem = indices.copy()
     quot = np.empty_like(rem)
     for j in range(count):
@@ -290,34 +292,45 @@ def _batched_rank(dense: np.ndarray, field: PrimeField) -> np.ndarray:
     return rank
 
 
-def _orbit_representatives(digits: int, p: int) -> np.ndarray:
-    """0, then [p^t, 2 p^t) for t < ``digits``: one packed vector of ``digits``
-    base-p digits per orbit of v -> cv, c in F_p^* (highest nonzero digit 1)."""
-    return np.concatenate([[0]] + [np.arange(p**t, 2 * p**t) for t in range(digits)])
+def _orbit_representatives(digits: int, p: int, size: int):
+    """0, then [p^t, 2 p^t) for t < ``digits``: one packed vector of
+    ``digits`` base-p digits per orbit of v -> cv, c in F_p^* (highest
+    nonzero digit 1). Yields them in order, in pieces of at most ``size``,
+    each cut from the ranges when it is asked for, so no more than one
+    piece is ever held."""
+    piece, held = [], 0
+    for lo, hi in [(0, 1)] + [(p**t, 2 * p**t) for t in range(digits)]:
+        while lo < hi:
+            take = min(hi - lo, size - held)
+            piece.append(np.arange(lo, lo + take, dtype=np.int64))
+            lo, held = lo + take, held + take
+            if held == size:
+                yield np.concatenate(piece)
+                piece, held = [], 0
+    if piece:
+        yield np.concatenate(piece)
 
 
-def _minor_groups(k: int, width: int, span: int, p: int):
+def _minor_groups(k: int, width: int, group: int, span: int, p: int):
     """One k x k minor per orbit of N -> cN, c in F_p^*, times one
     completing row per orbit of (a, b) -> (c^2 a, cb) (index = minor *
     p^width + row: a row's low width - k digits are the corner a, its top
     k the border b), both by :func:`_orbit_representatives`. Yields
-    (minors, weight, slices): a group of minors' packed indices and orbit
-    size, and, the same for every group, (table, weights) pairs of at most
-    ``span`` columns of the walked rows' digit-major table
-    (:func:`_decode_digits`) and weights: 1 for every a with b = 0 (c^2 a
-    reaches only a's square class), p - 1 for every a with each other b.
-    The zero minor comes first, alone with weight 1; then the others with
-    weight p - 1, in groups of max(1, span // rows walked) minors.
+    (minors, weights, slices): groups of at most ``group`` minors' packed
+    indices in order and their orbit sizes, 1 for the zero minor, which
+    leads the first group, and p - 1 for every other; and, the same for
+    every group, (table, weights) pairs of at most ``span`` columns of the
+    walked rows' digit-major table (:func:`_decode_digits`) and weights:
+    1 for every a with b = 0 (c^2 a reaches only a's square class), p - 1
+    for every a with each other b.
     """
     corners = p ** (width - k)
-    rows = (_orbit_representatives(k, p)[:, None] * corners + np.arange(corners)).ravel()
+    borders = next(_orbit_representatives(k, p, p**k))
+    rows = (borders[:, None] * corners + np.arange(corners)).ravel()
     table, weights = _decode_digits(rows, width, p), np.where(rows < corners, 1, p - 1)
     slices = [(table[:, i : i + span], weights[i : i + span]) for i in range(0, len(rows), span)]
-    group = max(1, span // len(rows))
-    minors = _orbit_representatives(_triangle(k), p)
-    yield minors[:1], 1, slices
-    for lo in range(1, len(minors), group):
-        yield minors[lo : lo + group], p - 1, slices
+    for minors in _orbit_representatives(_triangle(k), p, group):
+        yield minors, np.where(minors > 0, p - 1, 1), slices
 
 
 def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
@@ -352,31 +365,43 @@ def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
             np.greater(cand[i], found, out=pivot[i])  # a candidate, none above
             found |= cand[i]
         free &= ~pivot
-        # The pivot row (zero where there is none) and each free row's
-        # multiple of it; every other row keeps a zero factor.
-        row = (aug * pivot[:, None, :]).sum(axis=0, dtype=np.int16)
-        factors = aug[:, col] * free * field._inv_array[row[col]]
+        # The pivot row from this column on (zero where there is none) and
+        # each free row's multiple of it; every other row keeps a zero
+        # factor. No later step reads a column left of the next one.
+        row = (aug[:, col:] * pivot[:, None, :]).sum(axis=0, dtype=np.int16)
+        factors = aug[:, col] * free * field._inv_array[row[0]]
         _reduce(factors, p, scratch[:, 0])
-        aug -= factors[:, None, :] * row
-        _reduce(aug, p, scratch)
+        rest = aug[:, col + 1 :]
+        rest -= factors[:, None, :] * row[1:]
+        _reduce(rest, p, scratch[:, col + 1 :])
     kernel = aug[:, k:] * free[:, None, :]
     return k - free.sum(axis=0), np.einsum("ijm,j->im", kernel, p ** np.arange(k))
 
 
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d bool array packed 64 columns to a uint64 word:
+    bit j of word w is column 64 w + j, and every bit past the last
+    column is 0."""
+    packed = np.zeros((bits.shape[0], -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
 def _nonzero_table(rows: np.ndarray, borders: np.ndarray, p: int) -> np.ndarray:
     """Whether each of the (d, k) ``rows`` of Z has a nonzero dot product
-    mod p with each border among the columns of ``borders`` (k, nb): a
-    (d, nb) table, from one float32 matmul. Entries are integers below p,
-    so every dot product is at most k (p-1)^2, below 2^24, exact in float32.
+    mod p with each border among the columns of ``borders`` (k, nb), as a
+    (d, ceil(nb / 64)) table of words (:func:`_pack_bits`), from one
+    float32 matmul of d nb entries. Entries are integers below p, so every
+    dot product is at most k (p-1)^2, below 2^24, exact in float32.
     """
     dots = rows.astype(np.float32) @ borders.astype(np.float32)
-    return np.fmod(dots, p) != 0
+    return _pack_bits(np.fmod(dots, p) != 0)
 
 
 def _any_row(table: np.ndarray, where: np.ndarray) -> np.ndarray:
     """For each column j of ``where`` (t, m), the OR of the t rows
-    ``table[where[:, j]]``: shape (m, nb), all False when t = 0."""
-    out = np.zeros((where.shape[1], table.shape[1]), dtype=bool)
+    ``table[where[:, j]]``: shape (m, nw), all zero when t = 0."""
+    out = np.zeros((where.shape[1], table.shape[1]), dtype=table.dtype)
     for keys in where:
         out |= table[keys]
     return out
@@ -385,37 +410,55 @@ def _any_row(table: np.ndarray, where: np.ndarray) -> np.ndarray:
 def _bordered_rank_chunks(n: int, field: PrimeField):
     """The (minor, border) pairs of the symmetric n x n matrices, n >= 1,
     over one minor per scaling orbit and one border per orbit of b -> cb
-    (:func:`_minor_groups`), in chunks of at most ``_CHUNK`` pairs, each
-    a tuple ``(weights, minor_rank, outside)`` of arrays of shapes (nb,),
-    (m,) and (m, nb) for m minors and one slice of nb borders, ``weights``
-    the pairs each border's column stands for. Read minor-major and chunk
-    by chunk, the pairs run in packed-index order over the walked minors
-    and borders, each standing for its p corners.
+    (:func:`_minor_groups`), each standing for its p corners. Yields, per
+    group of at most ``_CHUNK`` // (n - 1) minors, ``(weights, minor_rank,
+    pairs, outside)``: the minors' orbit sizes and ranks, shape (m,), the
+    pairs over each minor (the walked borders' weights summed), and the
+    weighted count of those outside, shape (m,).
 
-    ``outside`` is Z b != 0 (:func:`_reduce_minors`): b lies outside the
-    column space of N, the orthogonal complement of its left kernel. Then
-    [[a, b^T], [b, N]] has rank r + 2 for every corner a, since N is
-    symmetric and b^T lies outside its row space too. Otherwise N x = b
-    for some x, and the rank is r + [a != x^T N x]: one corner keeps rank
-    r and the other p - 1 have r + 1, so x is never computed.
+    A border b is outside when Z b != 0 (:func:`_reduce_minors`): b lies
+    outside the column space of N, the orthogonal complement of its left
+    kernel. Then [[a, b^T], [b, N]] has rank r + 2 for every corner a,
+    since N is symmetric and b^T lies outside its row space too. Otherwise
+    N x = b for some x, and the rank is r + [a != x^T N x]: one corner
+    keeps rank r and the other p - 1 have r + 1, so x is never computed.
 
     Every minor of a group is eliminated once. The group's k m rows of Z
-    take at most min(p^k, k m) distinct values, and each border slice is
-    tested against those once (:func:`_nonzero_table`), so a table holds
-    at most k ``_CHUNK`` entries; Z b != 0 is then an OR of k gathered
-    table rows.
+    take d <= min(p^k, k m) distinct values, and each border slice is
+    tested against those once (:func:`_nonzero_table`); slices are sized
+    so that a table holds at most k ``_CHUNK`` entries. Then, for a run
+    of the group's minors at a time, Z b != 0 is an OR of k gathered
+    words (:func:`_any_row`), 64 borders to a word, and each minor's
+    outside pairs are a bit count per border weight: all of its bits at
+    the largest weight, less the difference for each smaller one, so the
+    pad bits past the last border must be, and are, 0. A run
+    holds at most ``_CHUNK`` pairs. Pairs come group by group, slice by
+    slice, run by run.
     """
     p = field.p
     k = n - 1
-    for minors, weight, border_slices in _minor_groups(k, k, _CHUNK, p):
+    group = max(1, _CHUNK // max(1, k))
+    span = max(1, k * _CHUNK // max(1, min(p**k, k * group)))
+    for minors, weights, border_slices in _minor_groups(k, k, group, span, p):
         minor_rank, keys = _reduce_minors(minors, k, field)
         present = np.zeros(p**k, dtype=bool)
         present[keys] = True
         rows = _decode_digits(np.flatnonzero(present), k, p).T
         where = (np.cumsum(present) - 1)[keys]  # each key's row of the table
+        pairs, outside = 0, np.zeros(len(minors), dtype=np.int64)
         for borders, border_weights in border_slices:
-            outside = _any_row(_nonzero_table(rows, borders, p), where)
-            yield weight * border_weights, minor_rank, outside
+            table = _nonzero_table(rows, borders, p)
+            top, *lower = np.unique(border_weights)[::-1]
+            masks = [(top - w, _pack_bits(border_weights[None] == w)) for w in lower]
+            run = max(1, _CHUNK // borders.shape[1])
+            for lo in range(0, len(minors), run):
+                words = _any_row(table, where[:, lo : lo + run])
+                counts = top * np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+                for deficit, mask in masks:
+                    counts -= deficit * np.bitwise_count(words & mask).sum(axis=1, dtype=np.int64)
+                outside[lo : lo + run] += counts
+            pairs += int(border_weights.sum())
+        yield weights, minor_rank, pairs, outside
 
 
 def enumerate_rank_counts(
@@ -429,8 +472,8 @@ def enumerate_rank_counts(
     r + 2 when the border lies outside the minor's column space, else
     one at r and p - 1 at r + 1; congruence by diag(c, 1, ..., 1)
     permutes the corners of b onto those of cb. The pairs, and those of
-    them outside, are counted per minor as ``outside @ weights``, in
-    int64, and summed per minor rank r. Raises :class:`BudgetExceeded`
+    them outside, are summed per minor rank r once per group, weighted by
+    each minor's orbit size, in int64. Raises :class:`BudgetExceeded`
     with the exact required visit count if the space is larger than
     ``budget``.
     """
@@ -442,11 +485,9 @@ def enumerate_rank_counts(
         return RankHistogram(0, p, (1,))
     # Column r: pairs over rank-r minors, and those of them outside.
     tally = np.zeros((2, n), dtype=np.int64)
-    for weights, minor_rank, outside in _bordered_rank_chunks(n, field):
-        per_minor = np.empty((2, len(minor_rank)), dtype=np.int64)
-        per_minor[0] = weights.sum()
-        np.einsum("mb,b->m", outside, weights, out=per_minor[1])  # each minor's outside pairs
-        tally += per_minor @ (minor_rank[:, None] == np.arange(n))
+    for weights, minor_rank, pairs, outside in _bordered_rank_chunks(n, field):
+        np.add.at(tally[0], minor_rank, pairs * weights)
+        np.add.at(tally[1], minor_rank, outside * weights)
     pairs, outside = tally
     inside = pairs - outside
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -459,8 +500,11 @@ def enumerate_rank_counts(
 def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> FiberCensus:
     """Joint (minor rank, full rank) tally over the whole space, ranking
     one row per orbit of (a, b) -> (c^2 a, cb) over one minor per scaling
-    orbit (:func:`_minor_groups`). Rows of weight p - 1 are tallied under
-    keys of their own, and a chunk adds weight * (t_1 + (p - 1) t_(p-1)).
+    orbit (:func:`_minor_groups`). Each matrix is tallied under a key of
+    its weight class too, [minor of weight p - 1] + [row of weight p - 1],
+    and a chunk adds t_0 + (p - 1) t_1 + (p - 1)^2 t_2. The minors of a
+    walked group are ranked once, and each slice of rows is crossed with a
+    run of them at a time, at most ``_CHUNK`` matrices.
 
     The 0 x 0 minor of a 1 x 1 matrix counts as rank 0, so the n = 1
     census degenerates gracefully.
@@ -474,20 +518,23 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
     # No chunk exceeds _CHUNK; np.empty touches only the pages a chunk uses.
     dense = np.empty((n, n, _CHUNK), dtype=np.int16)
     scratch = _ScratchField(p, n, _CHUNK)
-    for minor_idx, weight, row_slices in _minor_groups(n - 1, n, _CHUNK, p):
+    for minor_idx, minor_weights, row_slices in _minor_groups(n - 1, n, _CHUNK, _CHUNK, p):
         minors = _dense_batch(minor_idx, n - 1, p)
-        minor_ranks = _batched_rank(minors, scratch) * base
+        minor_keys = _batched_rank(minors, scratch) * base + np.int16(acc.size) * (minor_weights > 1)
         for rows, row_weights in row_slices:
-            flat = dense[:, :, : len(minor_idx) * rows.shape[1]]
-            batch = flat.reshape(n, n, len(minor_idx), rows.shape[1])  # a view: fills flat
-            batch[0] = rows[:, None, :]
-            batch[1:, 0] = rows[1:, None, :]
-            batch[1:, 1:] = minors[..., None]
-            ranks = _batched_rank(flat, scratch)
-            moved = np.int16(acc.size) * (row_weights > 1)  # keys of rows of weight p - 1
-            keys = ranks.reshape(len(minor_idx), -1) + minor_ranks[:, None] + moved
-            ones, others = np.bincount(keys.ravel(), minlength=2 * acc.size).reshape(2, -1)
-            acc += weight * (ones + (p - 1) * others)
+            moved = np.int16(acc.size) * (row_weights > 1)
+            run = max(1, _CHUNK // rows.shape[1])
+            for lo in range(0, len(minor_idx), run):
+                part = minors[..., lo : lo + run]
+                flat = dense[:, :, : part.shape[-1] * rows.shape[1]]
+                batch = flat.reshape(n, n, part.shape[-1], rows.shape[1])  # a view: fills flat
+                batch[0] = rows[:, None, :]
+                batch[1:, 0] = rows[1:, None, :]
+                batch[1:, 1:] = part[..., None]
+                ranks = _batched_rank(flat, scratch).reshape(part.shape[-1], -1)
+                keys = ranks + minor_keys[lo : lo + run, None] + moved
+                classes = np.bincount(keys.ravel(), minlength=3 * acc.size).reshape(3, -1)
+                acc += classes[0] + (p - 1) * (classes[1] + (p - 1) * classes[2])
     grid = acc.reshape(n + 1, base)
     table = {(int(r), int(s)): int(grid[r, s]) for r, s in zip(*np.nonzero(grid))}
     return FiberCensus(n, p, table)

@@ -2,6 +2,7 @@ import ast
 import itertools
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import reference
 from reference import SymMatrix
-from symrank import ffield
+from symrank import ffield, verify
 from symrank.ffield import (
     BudgetExceeded,
     InvalidBudget,
@@ -36,15 +37,57 @@ def det_mod(rows, cols, mat, p):
     return total % p
 
 
+def unpack_bits(words, width):
+    """The first ``width`` bits of each row of packed words, as bools."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :width].astype(bool)
+
+
 def bordered_pairs(n, field):
     """The histogram kernel's (minor, border) pairs in packed-index order
     over the walked minors and borders, as three flat arrays: base = r +
     2 [outside], corner_free = not outside, and the weight, the minor's
-    orbit size times the border's."""
-    chunks = list(ffield._bordered_rank_chunks(n, field))
-    base = [(r[:, None] + 2 * outside).ravel() for _, r, outside in chunks]
-    corner_free = [~outside.ravel() for _, _, outside in chunks]
-    weights = [np.broadcast_to(w, outside.shape).ravel() for w, _, outside in chunks]
+    orbit size times the border's. The outside bits are the words of each
+    run (:func:`ffield._any_row`), unpacked and placed by the kernel's
+    order: group by group, slice by slice, run by run. Each group's
+    yielded counts must equal its pairs summed by weight."""
+    minor_groups, any_row = ffield._minor_groups, ffield._any_row
+    groups = []
+
+    def recording_groups(*args):
+        for group in minor_groups(*args):
+            groups.append((group, []))
+            yield group
+
+    def recording_any_row(table, where):
+        words = any_row(table, where)
+        groups[-1][1].append(words)
+        return words
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ffield, "_minor_groups", recording_groups)
+        patch.setattr(ffield, "_any_row", recording_any_row)
+        chunks = list(ffield._bordered_rank_chunks(n, field))
+    assert len(chunks) == len(groups)
+    base, corner_free, weights = [], [], []
+    for (minor_weights, minor_rank, pairs, outside), ((minors, walked, slices), runs) in zip(
+        chunks, groups
+    ):
+        assert np.array_equal(minor_weights, walked)
+        runs = iter(runs)
+        columns = []
+        for _, border_weights in slices:
+            column = []
+            while sum(map(len, column)) < len(minors):
+                column.append(unpack_bits(next(runs), len(border_weights)))
+            columns.append(np.concatenate(column))
+        assert next(runs, None) is None
+        bits = np.concatenate(columns, axis=1)
+        border_weights = np.concatenate([w for _, w in slices])
+        assert pairs == border_weights.sum()
+        assert np.array_equal(outside, bits @ border_weights)
+        base.append((minor_rank[:, None] + 2 * bits).ravel())
+        corner_free.append(~bits.ravel())
+        weights.append(np.outer(minor_weights, border_weights).ravel())
     return np.concatenate(base), np.concatenate(corner_free), np.concatenate(weights)
 
 
@@ -58,9 +101,9 @@ def walked_rows(slices, p):
 def walked_matrices(n, p):
     """The packed indices of the p corners of every border the walk takes
     over each minor it takes, in packed order, and the weight of each."""
-    groups = list(ffield._minor_groups(n - 1, n - 1, ffield._CHUNK, p))
+    groups = list(ffield._minor_groups(n - 1, n - 1, ffield._CHUNK, ffield._CHUNK, p))
     minors = np.concatenate([minors for minors, _, _ in groups])
-    weights = np.concatenate([np.full(len(minors), weight) for minors, weight, _ in groups])
+    weights = np.concatenate([weights for _, weights, _ in groups])
     borders, border_weights = walked_rows(groups[0][2], p)
     rows = (borders[:, None] * p + np.arange(p)).ravel()  # the corner is the low digit
     idx = (minors[:, None] * p**n + rows).ravel()
@@ -242,27 +285,29 @@ class TestMinorGroups:
         # Every walked row over each walked minor, each once, in packed
         # order, and the same rows, with the same weights, for every minor.
         digits = p ** np.arange(width, dtype=np.int64)
-        walked, visited, sizes = [], [], []
-        groups = list(ffield._minor_groups(k, width, span, p))
+        walked, visited = [], []
+        groups = list(ffield._minor_groups(k, width, span, span, p))
         rows, weights = walked_rows(groups[0][2], p)
         for minors, _, slices in groups:
             walked.append(minors)
+            # Each group's matrices, minor-major over all of its slices.
+            over_slices = [minors[:, None] * p**width + digits @ table for table, _ in slices]
+            visited.append(np.concatenate(over_slices, axis=1).ravel())
+            assert len(minors) <= span
             for table, table_weights in slices:
-                visited.append((minors[:, None] * p**width + digits @ table).ravel())
-                sizes.append(len(minors) * table.shape[1])
+                assert 0 < table.shape[1] <= span
                 assert table_weights.shape == (table.shape[1],)
             assert np.array_equal(walked_rows(slices, p)[1], weights)
         over_walked = np.concatenate(walked)[:, None] * p**width + rows
         assert np.array_equal(np.concatenate(visited), over_walked.ravel())
         assert rows.tolist() == sorted(set(rows.tolist()))
         assert weights.sum() == p**width
-        assert max(sizes) <= span
 
     @pytest.mark.parametrize("span", [1, 7, 100])
     @pytest.mark.parametrize("k,p", [(0, 3), (1, 5), (2, 3), (2, 5), (3, 3), (1, 7)])
     def test_orbit_walk_takes_one_minor_per_scaling_orbit(self, k, p, span):
         t = k * (k + 1) // 2
-        groups = list(ffield._minor_groups(k, k + 1, span, p))
+        groups = list(ffield._minor_groups(k, k + 1, span, span, p))
         # The census's rows: p corners each for b = 0 and for one border b
         # per orbit of b -> cb, in p^(k+1) rows altogether.
         rows = p * (1 + (p**k - 1) // (p - 1))
@@ -271,16 +316,15 @@ class TestMinorGroups:
         minors = np.concatenate([group for group, _, _ in groups]).tolist()
         assert len(minors) == 1 + (p**t - 1) // (p - 1)
         assert minors == sorted(set(minors))
-        # The zero minor is an orbit, and a group, of its own; the other
-        # groups are cut from one run, so only the last may be short.
-        assert groups[0][0].tolist() == [0]
-        assert all(len(group) == max(1, span // rows) for group, _, _ in groups[1:-1])
+        # The zero minor is an orbit of its own and leads the first group;
+        # the groups are cut from one sequence, so only the last may be short.
+        assert minors[0] == 0
+        assert all(len(group) == span for group, _, _ in groups[:-1])
         weights = 0
         multiples = set()
-        for group, weight, slices in groups:
-            assert weight == (p - 1 if group[0] else 1)
-            weights += len(group) * weight
-            assert max(len(group) * table.shape[1] for table, _ in slices) <= span
+        for group, group_weights, _ in groups:
+            assert group_weights.tolist() == [p - 1 if m else 1 for m in group.tolist()]
+            weights += group_weights.sum()
             for m in group.tolist():
                 entries = SymMatrix.from_index(k, p, m).entries
                 if m:
@@ -288,6 +332,20 @@ class TestMinorGroups:
                 multiples |= {tuple(c * e % p for e in entries) for c in range(1, p)}
         assert weights == p**t
         assert len(multiples) == p**t  # the orbits cover every minor
+
+    def test_walk_holds_one_group_of_minors(self):
+        # The walk cuts each group from the ranges [p^t, 2 p^t) as it is
+        # asked for. At (4, 5), in the histogram's groups at _CHUNK = 100
+        # (100 // 3 minors), its traced peak stays below half of what its
+        # 3,907 minor indices would take at once.
+        tracemalloc.start()
+        try:
+            for minors, _, _ in ffield._minor_groups(3, 3, 100 // 3, 7, 5):
+                assert len(minors) <= 100 // 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3907 * 8 // 2
 
 
 class TestBorderedKernel:
@@ -340,7 +398,7 @@ class TestBorderedKernel:
         # with Z N = 0 whose k - r nonzero rows are independent: they span
         # the left kernel, whose dimension is k - r.
         field = PrimeField(p)
-        groups = ffield._minor_groups(k, k, ffield._CHUNK, p)
+        groups = ffield._minor_groups(k, k, ffield._CHUNK, ffield._CHUNK, p)
         minors = np.concatenate([group for group, _, _ in groups])
         rank, keys = ffield._reduce_minors(minors, k, field)
         assert keys.shape == (k, len(minors))
@@ -373,6 +431,81 @@ class TestBorderedKernel:
         monkeypatch.setattr(ffield, "_reduce_minors", faulty)
         assert ffield.enumerate_rank_counts(3, field) != expected
         assert len(planted) == 1
+
+    def test_one_elimination_per_walk_at_4_5(self, monkeypatch):
+        # The oracle's (4, 5) histogram eliminates its 3,907 walked minors,
+        # the zero minor among them, in one call at the default _CHUNK.
+        reduce_minors = ffield._reduce_minors
+        reduced = []
+
+        def recording_reduce(minors, k, field):
+            reduced.append(len(minors))
+            return reduce_minors(minors, k, field)
+
+        monkeypatch.setattr(ffield, "_reduce_minors", recording_reduce)
+        ffield.enumerate_rank_counts(4, PrimeField(5))
+        assert reduced == [1 + (5**6 - 1) // 4] == [3907]
+
+    @pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 130])
+    def test_pack_bits_round_trip(self, width):
+        # Bit j of word w is column 64 w + j, and the pad bits are 0.
+        bits = np.random.default_rng(width).random((5, width)) < 0.5
+        words = ffield._pack_bits(bits)
+        assert words.shape == (5, -(-width // 64))
+        assert np.array_equal(unpack_bits(words, width), bits)
+        assert np.bitwise_count(words).sum() == bits.sum()
+
+    def test_outside_counts_follow_the_walks_weights(self, monkeypatch):
+        # Each minor's outside pairs are counted at its borders' weights,
+        # whatever the walk gives them (bordered_pairs checks the counts):
+        # here the 7 borders of (3, 5), one slice, weigh 3, 4, 4, 4, 4, 2, 1,
+        # so three weights fall below the largest.
+        minor_groups = ffield._minor_groups
+
+        def reweighted(*args):
+            for minors, weights, [(table, _)] in minor_groups(*args):
+                yield minors, weights, [(table, np.array([3, 4, 4, 4, 4, 2, 1]))]
+
+        monkeypatch.setattr(ffield, "_minor_groups", reweighted)
+        _, corner_free, _ = bordered_pairs(3, PrimeField(5))
+        outside = ~corner_free.reshape(-1, 7)
+        assert outside[:, 5].any() and outside[:, 6].any()
+
+    def test_planted_pad_bit_fault_changes_the_histogram(self, monkeypatch):
+        # The 7 walked borders of (3, 5) fill 7 bits of a word. Bits past
+        # the last border are counted as they are, so they must be 0: set,
+        # they count as outside pairs that do not exist.
+        nonzero_table = ffield._nonzero_table
+
+        def padded(rows, borders, p):
+            table = nonzero_table(rows, borders, p)
+            return table | ~ffield._pack_bits(np.ones((1, borders.shape[1]), dtype=bool))
+
+        field = PrimeField(5)
+        expected = reference.full_walk_histogram(3, field)
+        assert ffield.enumerate_rank_counts(3, field) == expected
+        monkeypatch.setattr(ffield, "_nonzero_table", padded)
+        assert ffield.enumerate_rank_counts(3, field) != expected
+
+    def test_outside_bits_across_words(self, monkeypatch):
+        # At (3, 67) the walk takes 69 borders, two words a row once one
+        # slice holds them all (_CHUNK = 2^18). Each pair's bit must say
+        # whether its corner-0 matrix [[0, b^T], [b, N]] has rank r + 2,
+        # and the point counts must equal the formula.
+        monkeypatch.setattr(ffield, "_CHUNK", 1 << 18)
+        n, p = 3, 67
+        field = PrimeField(p)
+        base, corner_free, _ = bordered_pairs(n, field)
+        groups = list(ffield._minor_groups(n - 1, n - 1, ffield._CHUNK, ffield._CHUNK, p))
+        borders, _ = walked_rows(groups[0][2], p)
+        assert len(borders) == 69
+        minors = np.concatenate([minors for minors, _, _ in groups])
+        idx = (minors[:, None] * p**n + borders * p).ravel()  # corner a = 0
+        ranks = _batched_rank(_dense_batch(idx, n, p), field)
+        outside = ~corner_free
+        assert np.array_equal(ranks == base - 2 * outside + 2, outside)
+        report = verify.verify_point_counts(n, (p,), budget=p**6)
+        assert [r.status for r in report.results] == ["pass"] * (n + 1)
 
     def test_dot_products_exact_in_float32(self):
         # The dot table's float32 matmul is exact while a dot product of
@@ -514,37 +647,42 @@ class TestFiberCensus:
             return batched_rank(dense, field)
 
         monkeypatch.setattr(ffield, "_batched_rank", recording)
-        # Every array of a histogram chunk holds at most _CHUNK
-        # (minor, border) pairs.
-        bordered_rank_chunks = ffield._bordered_rank_chunks
-        chunk_sizes = []
+        # The histogram at size n eliminates at most _CHUNK // (n - 1)
+        # minors at a time, tests each border slice against a dot table of
+        # at most (n - 1) _CHUNK entries (distinct rows of Z by borders),
+        # and holds at most _CHUNK (minor, border) pairs in a run's words.
+        reduce_minors, nonzero_table, any_row = (
+            ffield._reduce_minors, ffield._nonzero_table, ffield._any_row
+        )
+        reduced, table_sizes, widths, run_sizes = [], [], [], []
 
-        def recording_chunks(n, field):
-            for arrays in bordered_rank_chunks(n, field):
-                chunk_sizes.extend(a.size for a in arrays)
-                yield arrays
-
-        monkeypatch.setattr(ffield, "_bordered_rank_chunks", recording_chunks)
-        # No dot table of a walk at size n holds more than (n-1) _CHUNK
-        # entries: at most (n-1) m distinct rows of Z by nb borders.
-        nonzero_table = ffield._nonzero_table
-        table_sizes = []
+        def recording_reduce(minors, k, field):
+            reduced.append(len(minors))
+            return reduce_minors(minors, k, field)
 
         def recording_table(rows, borders, p):
-            table = nonzero_table(rows, borders, p)
-            table_sizes.append(table.size)
-            return table
+            table_sizes.append(rows.shape[0] * borders.shape[1])
+            widths.append(borders.shape[1])
+            return nonzero_table(rows, borders, p)
 
+        def recording_any_row(table, where):
+            run_sizes.append(where.shape[1] * widths[-1])
+            return any_row(table, where)
+
+        monkeypatch.setattr(ffield, "_reduce_minors", recording_reduce)
         monkeypatch.setattr(ffield, "_nonzero_table", recording_table)
+        monkeypatch.setattr(ffield, "_any_row", recording_any_row)
         for n, p in shapes:
             total = p ** (n * (n + 1) // 2)
             assert total > ffield._CHUNK
             assert sum(ffield.fiber_census(n, PrimeField(p)).table.values()) == total
+            reduced.clear()
             table_sizes.clear()
             assert sum(ffield.enumerate_rank_counts(n, PrimeField(p)).counts) == total
+            assert 0 < max(reduced) <= max(1, ffield._CHUNK // (n - 1))
             assert 0 < max(table_sizes) <= (n - 1) * ffield._CHUNK
         assert max(sizes) <= ffield._CHUNK
-        assert max(chunk_sizes) <= ffield._CHUNK
+        assert max(run_sizes) <= ffield._CHUNK
 
     def test_marginals(self):
         field = PrimeField(3)

@@ -365,11 +365,11 @@ def test_walk_fault_fails_point_counts(monkeypatch):
     # must fail the point counts against the formula.
     minor_groups = ffield._minor_groups
 
-    def drop_first_representative(k, width, span, p):
-        for minors, weight, slices in minor_groups(k, width, span, p):
-            kept = minors[minors != 1]
-            if len(kept):
-                yield kept, weight, slices
+    def drop_first_representative(k, width, group, span, p):
+        for minors, weights, slices in minor_groups(k, width, group, span, p):
+            kept = minors != 1
+            if kept.any():
+                yield minors[kept], weights[kept], slices
 
     monkeypatch.setattr(ffield, "_minor_groups", drop_first_representative)
     report = verify.run_full_suite(counting_max_n=3, primes=(3,))
@@ -402,13 +402,34 @@ def test_row_walk_fault_fails_point_counts(monkeypatch, fault, at_n1):
     # against the formula from n = 2 on.
     minor_groups = ffield._minor_groups
 
-    def faulty_rows(k, width, span, p):
-        for minors, weight, slices in minor_groups(k, width, span, p):
-            yield minors, weight, [fault(table, weights, p) for table, weights in slices]
+    def faulty_rows(k, width, group, span, p):
+        for minors, minor_weights, slices in minor_groups(k, width, group, span, p):
+            yield minors, minor_weights, [fault(table, weights, p) for table, weights in slices]
 
     monkeypatch.setattr(ffield, "_minor_groups", faulty_rows)
     report = verify.run_full_suite(counting_max_n=3, primes=(3,))
     assert histogram_statuses(report) == {0: "pass", 1: at_n1, 2: "fail", 3: "fail"}
+
+
+def test_zero_minor_weight_fault_fails_every_count_it_reaches(monkeypatch):
+    # The zero minor leads the walk's first run of minors with weight 1.
+    # Counted as an orbit of p - 1 minors, it adds matrices of rank at most
+    # 2 (of the histograms and censuses at every n, the full-rank count at
+    # n <= 2), as first_row_moved does for the row with a = 0, b = 0.
+    minor_groups = ffield._minor_groups
+
+    def zero_minor_moved(k, width, group, span, p):
+        for minors, weights, slices in minor_groups(k, width, group, span, p):
+            yield minors, np.where(minors == 0, p - 1, weights), slices
+
+    monkeypatch.setattr(ffield, "_minor_groups", zero_minor_moved)
+    report = verify.run_full_suite(counting_max_n=3, primes=(3,))
+    failed = {(r.check_id, r.params["n"]) for r in report.results if r.status == "fail"}
+    counted = ("point_count_histogram", "fiber_buckets", "fiber_marginals")
+    assert failed == {(check, n) for check in counted for n in (1, 2, 3)} | {
+        ("projective_count", 1),
+        ("projective_count", 2),
+    }
 
 
 def test_prediction_fault_fails_only_fiber_buckets(monkeypatch):
