@@ -431,9 +431,9 @@ def _bordered_rank_chunks(n: int, field: PrimeField):
     words (:func:`_any_row`), 64 borders to a word, and each minor's
     outside pairs are a bit count per border weight: all of its bits at
     the largest weight, less the difference for each smaller one, so the
-    pad bits past the last border must be, and are, 0. A run
-    holds at most ``_CHUNK`` pairs. Pairs come group by group, slice by
-    slice, run by run.
+    pad bits past the last border must be, and are, 0. A run holds at
+    most ``_CHUNK`` pairs. Pairs come group by group, slice by slice, run
+    by run.
     """
     p = field.p
     k = n - 1
@@ -448,7 +448,7 @@ def _bordered_rank_chunks(n: int, field: PrimeField):
         pairs, outside = 0, np.zeros(len(minors), dtype=np.int64)
         for borders, border_weights in border_slices:
             table = _nonzero_table(rows, borders, p)
-            top, *lower = np.unique(border_weights)[::-1]
+            top, *lower = np.flatnonzero(np.bincount(border_weights))[::-1]
             masks = [(top - w, _pack_bits(border_weights[None] == w)) for w in lower]
             run = max(1, _CHUNK // borders.shape[1])
             for lo in range(0, len(minors), run):

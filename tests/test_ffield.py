@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -715,3 +716,11 @@ def test_oracle_imports_only_stdlib_and_numpy():
         elif isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
     assert {m.split(".")[0] for m in modules} <= sys.stdlib_module_names | {"numpy"}
+
+
+def test_declared_numpy_has_bitwise_count():
+    # The histogram counts each minor's outside pairs with
+    # np.bitwise_count, which numpy has from 2.0 on, so the package must
+    # not admit an older numpy.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert [int(major) for major in re.findall(r'"numpy>=(\d+)', pyproject)] == [2]
