@@ -30,8 +30,9 @@ per slice of borders, of its dot products with the distinct rows of the
 group's maps: at most (n-1) ``_CHUNK`` entries, packed 64 borders to a
 word. N is symmetric, so Z b != 0 gives rank r + 2 for every corner a,
 and N x = b gives r + [a != x^T N x], r for exactly one a; each pair is
-tallied once for all p corners without computing x, by bit counts over
-at most ``_CHUNK`` pairs at a time. The fiber census ranks whole
+tallied once for all p corners without computing x. A minor's outside
+borders take one bit count over at most ``_CHUNK`` pairs at a time,
+weighed p - 1; b = 0 is never outside. The fiber census ranks whole
 matrices with :func:`_batched_rank`, in lockstep, one pivot column at a
 time, in int16, which is exact because every entry stays in (-p^2, p^2)
 for p <= 97. The walk is checked from outside: by the point counts against
@@ -375,7 +376,7 @@ def _reduce_minors(minors: np.ndarray, k: int, field: PrimeField):
         rest -= factors[:, None, :] * row[1:]
         _reduce(rest, p, scratch[:, col + 1 :])
     kernel = aug[:, k:] * free[:, None, :]
-    return k - free.sum(axis=0), np.einsum("ijm,j->im", kernel, p ** np.arange(k))
+    return k - free.sum(axis=0), np.einsum("ijm,j->im", kernel, p ** np.arange(k, dtype=np.int32))
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -407,38 +408,48 @@ def _any_row(table: np.ndarray, where: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bordered_rank_chunks(n: int, field: PrimeField):
-    """The (minor, border) pairs of the symmetric n x n matrices, n >= 1,
-    over one minor per scaling orbit and one border per orbit of b -> cb
-    (:func:`_minor_groups`), each standing for its p corners. Yields, per
-    group of at most ``_CHUNK`` // (n - 1) minors, ``(weights, minor_rank,
-    pairs, outside)``: the minors' orbit sizes and ranks, shape (m,), the
-    pairs over each minor (the walked borders' weights summed), and the
-    weighted count of those outside, shape (m,).
+def enumerate_rank_counts(
+    n: int, field: PrimeField, budget: int = DEFAULT_BUDGET
+) -> RankHistogram:
+    """Rank histogram of all p^(n(n+1)/2) symmetric matrices, ranked by
+    bordered elimination over one minor per scaling orbit and one border
+    per orbit of b -> cb (:func:`_minor_groups`).
 
-    A border b is outside when Z b != 0 (:func:`_reduce_minors`): b lies
+    Each (minor, border) pair stands for its p corners; congruence by
+    diag(c, 1, ..., 1) permutes the corners of b onto those of cb. A
+    border b is outside when Z b != 0 (:func:`_reduce_minors`): b lies
     outside the column space of N, the orthogonal complement of its left
     kernel. Then [[a, b^T], [b, N]] has rank r + 2 for every corner a,
     since N is symmetric and b^T lies outside its row space too. Otherwise
     N x = b for some x, and the rank is r + [a != x^T N x]: one corner
     keeps rank r and the other p - 1 have r + 1, so x is never computed.
 
-    Every minor of a group is eliminated once. The group's k m rows of Z
-    take d <= min(p^k, k m) distinct values, and each border slice is
-    tested against those once (:func:`_nonzero_table`); slices are sized
-    so that a table holds at most k ``_CHUNK`` entries. Then, for a run
-    of the group's minors at a time, Z b != 0 is an OR of k gathered
-    words (:func:`_any_row`), 64 borders to a word, and each minor's
-    outside pairs are a bit count per border weight: all of its bits at
-    the largest weight, less the difference for each smaller one, so the
-    pad bits past the last border must be, and are, 0. A run holds at
-    most ``_CHUNK`` pairs. Pairs come group by group, slice by slice, run
-    by run.
+    The walk yields groups of m <= ``_CHUNK`` // k minors, k = n - 1, each
+    eliminated once. The group's k m rows of Z take d <= min(p^k, k m)
+    distinct values, and each border slice is tested against those once
+    (:func:`_nonzero_table`); slices are sized so that a table holds at
+    most k ``_CHUNK`` entries. Then, for a run of the group's minors at a
+    time, at most ``_CHUNK`` pairs, Z b != 0 is an OR of k gathered words
+    (:func:`_any_row`), 64 borders to a word, and each minor's outside
+    borders are one bit count, so the pad bits past the last border must
+    be, and are, 0. Z 0 = 0, so b = 0 is never outside and every outside
+    border weighs p - 1, the size of its orbit. The pairs, the walk's
+    border weights summed, and those outside are tallied per minor rank
+    r once per group, weighted by each minor's orbit size, in int64.
+    Raises :class:`BudgetExceeded` with the exact required visit count if
+    the space is larger than ``budget``.
     """
+    if n < 0:
+        raise ValueError(f"matrix size must be >= 0, got {n}")
     p = field.p
+    _space_size(n, p, budget)
+    if n == 0:
+        return RankHistogram(0, p, (1,))
     k = n - 1
     group = max(1, _CHUNK // max(1, k))
     span = max(1, k * _CHUNK // max(1, min(p**k, k * group)))
+    # Column r: pairs over rank-r minors, and those of them outside.
+    tally = np.zeros((2, n), dtype=np.int64)
     for minors, weights, border_slices in _minor_groups(k, k, group, span, p):
         minor_rank, keys = _reduce_minors(minors, k, field)
         present = np.zeros(p**k, dtype=bool)
@@ -448,46 +459,13 @@ def _bordered_rank_chunks(n: int, field: PrimeField):
         pairs, outside = 0, np.zeros(len(minors), dtype=np.int64)
         for borders, border_weights in border_slices:
             table = _nonzero_table(rows, borders, p)
-            top, *lower = np.flatnonzero(np.bincount(border_weights))[::-1]
-            masks = [(top - w, _pack_bits(border_weights[None] == w)) for w in lower]
             run = max(1, _CHUNK // borders.shape[1])
             for lo in range(0, len(minors), run):
                 words = _any_row(table, where[:, lo : lo + run])
-                counts = top * np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-                for deficit, mask in masks:
-                    counts -= deficit * np.bitwise_count(words & mask).sum(axis=1, dtype=np.int64)
-                outside[lo : lo + run] += counts
+                outside[lo : lo + run] += np.bitwise_count(words).sum(axis=1, dtype=np.int64)
             pairs += int(border_weights.sum())
-        yield weights, minor_rank, pairs, outside
-
-
-def enumerate_rank_counts(
-    n: int, field: PrimeField, budget: int = DEFAULT_BUDGET
-) -> RankHistogram:
-    """Rank histogram of all p^(n(n+1)/2) symmetric matrices, ranked by
-    bordered elimination (:func:`_bordered_rank_chunks`) over one minor
-    per scaling orbit and one border per orbit of b -> cb.
-
-    Each (minor, border) pair stands for its p corners: all p at rank
-    r + 2 when the border lies outside the minor's column space, else
-    one at r and p - 1 at r + 1; congruence by diag(c, 1, ..., 1)
-    permutes the corners of b onto those of cb. The pairs, and those of
-    them outside, are summed per minor rank r once per group, weighted by
-    each minor's orbit size, in int64. Raises :class:`BudgetExceeded`
-    with the exact required visit count if the space is larger than
-    ``budget``.
-    """
-    if n < 0:
-        raise ValueError(f"matrix size must be >= 0, got {n}")
-    p = field.p
-    _space_size(n, p, budget)
-    if n == 0:
-        return RankHistogram(0, p, (1,))
-    # Column r: pairs over rank-r minors, and those of them outside.
-    tally = np.zeros((2, n), dtype=np.int64)
-    for weights, minor_rank, pairs, outside in _bordered_rank_chunks(n, field):
         np.add.at(tally[0], minor_rank, pairs * weights)
-        np.add.at(tally[1], minor_rank, outside * weights)
+        np.add.at(tally[1], minor_rank, (p - 1) * outside * weights)
     pairs, outside = tally
     inside = pairs - outside
     counts = np.zeros(n + 1, dtype=np.int64)

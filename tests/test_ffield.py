@@ -47,33 +47,42 @@ def bordered_pairs(n, field):
     """The histogram kernel's (minor, border) pairs in packed-index order
     over the walked minors and borders, as three flat arrays: base = r +
     2 [outside], corner_free = not outside, and the weight, the minor's
-    orbit size times the border's. The outside bits are the words of each
+    orbit size times the border's. The ranks are each group's from
+    :func:`ffield._reduce_minors`, and the outside bits the words of each
     run (:func:`ffield._any_row`), unpacked and placed by the kernel's
-    order: group by group, slice by slice, run by run. Each group's
-    yielded counts must equal its pairs summed by weight."""
-    minor_groups, any_row = ffield._minor_groups, ffield._any_row
+    order: group by group, slice by slice, run by run. No border of weight
+    other than p - 1 may be outside, and the histogram must equal the
+    pairs' corners tallied by weight."""
+    minor_groups, reduce_minors, any_row = (
+        ffield._minor_groups,
+        ffield._reduce_minors,
+        ffield._any_row,
+    )
     groups = []
 
     def recording_groups(*args):
         for group in minor_groups(*args):
-            groups.append((group, []))
+            groups.append((group, [], []))
             yield group
+
+    def recording_reduce_minors(minors, k, field):
+        rank, keys = reduce_minors(minors, k, field)
+        groups[-1][1].append(rank)
+        return rank, keys
 
     def recording_any_row(table, where):
         words = any_row(table, where)
-        groups[-1][1].append(words)
+        groups[-1][2].append(words)
         return words
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ffield, "_minor_groups", recording_groups)
+        patch.setattr(ffield, "_reduce_minors", recording_reduce_minors)
         patch.setattr(ffield, "_any_row", recording_any_row)
-        chunks = list(ffield._bordered_rank_chunks(n, field))
-    assert len(chunks) == len(groups)
+        histogram = ffield.enumerate_rank_counts(n, field, budget=ffield.MAX_BUDGET)
+    p = field.p
     base, corner_free, weights = [], [], []
-    for (minor_weights, minor_rank, pairs, outside), ((minors, walked, slices), runs) in zip(
-        chunks, groups
-    ):
-        assert np.array_equal(minor_weights, walked)
+    for (minors, minor_weights, slices), [minor_rank], runs in groups:
         runs = iter(runs)
         columns = []
         for _, border_weights in slices:
@@ -84,12 +93,17 @@ def bordered_pairs(n, field):
         assert next(runs, None) is None
         bits = np.concatenate(columns, axis=1)
         border_weights = np.concatenate([w for _, w in slices])
-        assert pairs == border_weights.sum()
-        assert np.array_equal(outside, bits @ border_weights)
+        assert not bits[:, border_weights != p - 1].any()
         base.append((minor_rank[:, None] + 2 * bits).ravel())
         corner_free.append(~bits.ravel())
         weights.append(np.outer(minor_weights, border_weights).ravel())
-    return np.concatenate(base), np.concatenate(corner_free), np.concatenate(weights)
+    base, corner_free, weights = map(np.concatenate, (base, corner_free, weights))
+    # A pair's p corners: all at base, or one at base and p - 1 above it.
+    counts = np.zeros(n + 2, dtype=np.int64)
+    np.add.at(counts, base, np.where(corner_free, 1, p) * weights)
+    np.add.at(counts, base[corner_free] + 1, (p - 1) * weights[corner_free])
+    assert tuple(counts.tolist()) == histogram.counts + (0,)
+    return base, corner_free, weights
 
 
 def walked_rows(slices, p):
@@ -456,22 +470,6 @@ class TestBorderedKernel:
         assert np.array_equal(unpack_bits(words, width), bits)
         assert np.bitwise_count(words).sum() == bits.sum()
 
-    def test_outside_counts_follow_the_walks_weights(self, monkeypatch):
-        # Each minor's outside pairs are counted at its borders' weights,
-        # whatever the walk gives them (bordered_pairs checks the counts):
-        # here the 7 borders of (3, 5), one slice, weigh 3, 4, 4, 4, 4, 2, 1,
-        # so three weights fall below the largest.
-        minor_groups = ffield._minor_groups
-
-        def reweighted(*args):
-            for minors, weights, [(table, _)] in minor_groups(*args):
-                yield minors, weights, [(table, np.array([3, 4, 4, 4, 4, 2, 1]))]
-
-        monkeypatch.setattr(ffield, "_minor_groups", reweighted)
-        _, corner_free, _ = bordered_pairs(3, PrimeField(5))
-        outside = ~corner_free.reshape(-1, 7)
-        assert outside[:, 5].any() and outside[:, 6].any()
-
     def test_planted_pad_bit_fault_changes_the_histogram(self, monkeypatch):
         # The 7 walked borders of (3, 5) fill 7 bits of a word. Bits past
         # the last border are counted as they are, so they must be 0: set,
@@ -511,12 +509,14 @@ class TestBorderedKernel:
     def test_dot_products_exact_in_float32(self):
         # The dot table's float32 matmul is exact while a dot product of
         # two vectors of n - 1 entries in [0, p), at most (n-1)(p-1)^2, is
-        # below 2^24, for every space an accepted budget can admit.
+        # below 2^24, and _reduce_minors' int32 keys while p^(n-1) is
+        # below 2^31, for every space an accepted budget can admit.
         spaces = 0
         for p in (p for p in range(3, 98, 2) if ffield._is_prime(p)):
             n = 2
             while p ** (n * (n + 1) // 2) <= ffield.MAX_BUDGET:
                 assert (n - 1) * (p - 1) ** 2 < 2**24
+                assert p ** (n - 1) < 2**31
                 spaces += 1
                 n += 1
         assert spaces >= 24  # at least n = 2 and 3 for each of the 24 primes

@@ -391,15 +391,22 @@ def first_row_moved(table, weights, p):
     return table, weights
 
 
+def last_moved_row_fixed(table, weights, p):
+    # The last row with b != 0 of each slice counts once, not p - 1 times.
+    weights = weights.copy()
+    weights[np.flatnonzero(weights > 1)[-1:]] = 1
+    return table, weights
+
+
 @pytest.mark.parametrize(
     "fault,at_n1",
-    [(drop_first_moved_row, "pass"), (first_row_moved, "fail")],
+    [(drop_first_moved_row, "pass"), (first_row_moved, "fail"), (last_moved_row_fixed, "pass")],
 )
 def test_row_walk_fault_fails_point_counts(monkeypatch, fault, at_n1):
     # The completing rows are walked by orbit of (a, b) -> (c^2 a, cb)
     # through the same walker as the minors; a walk that loses a row's
-    # orbit or miscounts a row with b = 0 must fail the point counts
-    # against the formula from n = 2 on.
+    # orbit or miscounts a row, with b = 0 or not, must fail the point
+    # counts against the formula from n = 2 on.
     minor_groups = ffield._minor_groups
 
     def faulty_rows(k, width, group, span, p):
