@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,10 +59,6 @@ _CHUNK = 1 << 16
 
 class OddPrimeRequired(ValueError):
     """The modulus is not an odd prime in the supported range."""
-
-
-class NonintegralQuotient(ArithmeticError):
-    """A count that must divide evenly did not (implementation bug)."""
 
 
 class InvalidBudget(ValueError):
@@ -177,16 +174,15 @@ class RankHistogram:
     p: int
     counts: tuple[int, ...]
 
-    def projective_count(self) -> int:
-        """Full-rank matrices up to scalar: ``counts[n]`` divided, exactly,
-        by p - 1."""
-        full = self.counts[self.n]
-        quotient, remainder = divmod(full, self.p - 1)
-        if remainder:
-            raise NonintegralQuotient(
-                f"full-rank count {full} is not divisible by {self.p - 1}"
-            )
-        return quotient
+    def projective_count(self) -> Fraction:
+        """Full-rank matrices up to scalar: the exact quotient ``counts[n]``
+        / (p - 1), an integer unless the count is wrong, since scalars act
+        freely on nonzero matrices. A wrong count is left to the checks.
+
+        >>> RankHistogram(2, 5, (1, 24, 101)).projective_count()
+        Fraction(101, 4)
+        """
+        return Fraction(self.counts[self.n], self.p - 1)
 
 
 @dataclass(frozen=True)
@@ -251,8 +247,6 @@ def _batched_rank(dense: np.ndarray, field: PrimeField) -> np.ndarray:
     :class:`_ScratchField`, and are allocated for this call otherwise.
     """
     n, _, batch = dense.shape
-    if n == 0 or batch == 0:
-        return np.zeros(batch, dtype=np.int16)
     p = field.p
     if not isinstance(field, _ScratchField):
         field = _ScratchField(p, n, batch)
@@ -518,9 +512,10 @@ def fiber_census(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fib
     return FiberCensus(n, p, table)
 
 
-def projective_count(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> int:
+def projective_count(n: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Number of full-rank matrices up to scalar: the enumerated
-    full-rank count divided (exactly) by p - 1."""
+    full-rank count over p - 1, an exact quotient that is an integer
+    unless the count is wrong (:meth:`RankHistogram.projective_count`)."""
     if n < 1:
         raise ValueError(f"projective count needs n >= 1, got {n}")
     return enumerate_rank_counts(n, field, budget).projective_count()

@@ -55,8 +55,6 @@ class LaurentPolynomial:
     __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        if terms and min(terms) < 0:
-            raise ValueError(f"negative exponent {min(terms)}: L is never inverted")
         p = shifted_sum((monomial(c, e), 0, 1) for e, c in (terms or {}).items())
         self._lo, self._coeffs = p._lo, p._coeffs
 

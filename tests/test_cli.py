@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from faults import first_factor_of_row_4_mistranscribed, full_rank_count_one_high
 from reference import class_json_dict
 from symrank import ffield, motivic, verify
 from symrank.cli import main
@@ -193,6 +194,16 @@ class TestCountCommand:
         )
         assert code == 0
         assert out == "formula: 25\nbrute-force: 25\nverdict: MATCH\n"
+
+    def test_non_integral_projective_count_is_a_mismatch(self, capsys, monkeypatch):
+        # A full-rank count that p - 1 does not divide prints its quotient.
+        full_rank_count_one_high(monkeypatch)
+        argv = ("count", "--n", "2", "--projective-full", "--q", "5", "--brute-force")
+        assert run(capsys, *argv) == (
+            1,
+            "formula: 25\nbrute-force: 101/4\nverdict: MISMATCH\n",
+            "",
+        )
 
     def test_q_below_two_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "count", "--n", "2", "--k", "1", "--q", "1")
@@ -419,6 +430,37 @@ class TestVerifyCommand:
         report = json.loads(out)
         failed = {r["check_id"] for r in report["results"] if r["status"] == "fail"}
         assert "projective_divisibility" in failed
+
+    def test_non_integral_projective_count_is_a_report(self, capsys, monkeypatch):
+        # Every full-rank count is one too high: failed checks, not a traceback.
+        full_rank_count_one_high(monkeypatch)
+        argv = ("verify", "--max-n", "2", "--primes", "5", "--format", "json")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["summary"] == {"pass": 14, "fail": 9, "skipped": 0}
+        counts = [
+            (r["params"]["n"], r["status"], r["actual"])
+            for r in report["results"]
+            if r["check_id"] == "projective_count"
+        ]
+        assert counts == [(1, "fail", "5/4"), (2, "fail", "101/4")]
+
+    def test_closed_form_remainder_is_a_report(self, capsys, monkeypatch):
+        # Row 4's first factor mistranscribed as L^4 + 1: its later
+        # divisions leave remainders, which fail checks, not the run.
+        first_factor_of_row_4_mistranscribed(monkeypatch)
+        code, out, err = run(capsys, "verify", "--max-n", "4", "--primes", "3")
+        assert (code, err) == (1, "")
+        assert "total                                 47     4     0\n" in out
+        failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failures[0] == (
+            "FAIL closed_form_equals_recursion {'n': 4, 'k': 1}: expected L^4 - 1, got L^4 + 1"
+        )
+        assert len(failures) == 4
+        for k, line in zip((2, 3, 4), failures[1:]):
+            assert line.startswith(f"FAIL closed_form_equals_recursion {{'n': 4, 'k': {k}}}: ")
+            assert line.endswith(", got NonzeroRemainder: L^7 - L^4 + L^3 - 1 is not divisible by L^2 - 1")
 
     def test_bundle_fault_is_verification_failure(self, capsys, monkeypatch):
         class_at_most = motivic.class_at_most

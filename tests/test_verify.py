@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from faults import first_factor_of_row_4_mistranscribed, full_rank_count_one_high
 from symrank import ffield, motivic, verify
 from symrank.ffield import OddPrimeRequired
 from symrank.laurent import L
@@ -21,6 +22,12 @@ def wrong_full_rank_class_at_2(monkeypatch):
         motivic,
         "_recursive_value",
         lambda n, k: recursive_value(n, k) + (1 if (n, k) == (2, 2) else 0),
+    )
+
+
+def failed_checks(report):
+    return Counter(
+        (r.check_id, tuple(r.params.items())) for r in report.results if r.status == "fail"
     )
 
 
@@ -81,6 +88,17 @@ class TestFormulaVsRecursion:
             if r.check_id == "at_most_bundle" and r.status == "fail"
         }
         assert failed == {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
+
+    def test_closed_form_remainder_fails_its_checks(self, monkeypatch):
+        first_factor_of_row_4_mistranscribed(monkeypatch)
+        report = verify.run_full_suite(8, 4, (3, 5, 7))
+        assert failed_checks(report) == {
+            ("closed_form_equals_recursion", (("n", 4), ("k", k))): 1 for k in (1, 2, 3, 4)
+        }
+        actual = [r.actual for r in report.results if r.status == "fail"]
+        assert actual[0] == "L^4 + 1"
+        remainder = "NonzeroRemainder: L^7 - L^4 + L^3 - 1 is not divisible by L^2 - 1"
+        assert actual[1:] == [remainder] * 3
 
 
 class TestPointCounts:
@@ -184,6 +202,31 @@ class TestProjective:
         assert failed[0].actual.startswith("NonzeroRemainder: ")
         skipped = [(r.check_id, r.params, r.reason) for r in results if r.status == "skipped"]
         assert skipped == [("projective_count", {"n": 2, "p": 3}, "[n, n] is not divisible by L - 1")]
+
+    def test_non_integral_count_fails_every_count_it_reaches(self, monkeypatch):
+        full_rank_count_one_high(monkeypatch)
+        report = verify.run_full_suite(8, 4, (3, 5, 7))
+        # Every in-budget point of every family that reads a histogram.
+        expected = Counter(
+            (check, (("n", n), ("p", p)))
+            for check, ns in (
+                ("point_count_histogram", range(0, 5)),
+                ("fiber_buckets", range(1, 5)),
+                ("fiber_marginals", range(1, 5)),
+                ("projective_count", range(1, 6)),
+            )
+            for n in ns
+            for p in (3, 5, 7)
+            if p ** (n * (n + 1) // 2) <= ffield.DEFAULT_BUDGET
+        )
+        assert sum(expected.values()) == 48
+        assert failed_checks(report) == expected
+        actual = {
+            r.params["n"]: r.actual
+            for r in report.results
+            if r.check_id == "projective_count" and r.params["p"] == 5 and r.params["n"] <= 2
+        }
+        assert actual == {1: "5/4", 2: "101/4"}
 
     def test_one_quotient_per_n(self, monkeypatch):
         calls = []
