@@ -35,7 +35,6 @@ are semantically invisible.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 from .laurent import L, ONE, ZERO, LaurentPolynomial, monomial, shifted_sum
@@ -64,7 +63,8 @@ class VarietyDescriptor:
 
     ``kind`` is one of ``exact`` (rank == k), ``at_most`` (rank <= k),
     ``range`` (k <= rank <= l) or ``projective_full`` (full-rank
-    matrices up to scalar).
+    matrices up to scalar, k == n). Every kind needs the int k; only
+    ``range`` takes l.
     """
 
     n: int
@@ -77,16 +77,14 @@ class VarietyDescriptor:
             raise ValueError(f"matrix size must be >= 0, got {self.n}")
         if self.kind not in (RANK_EXACT, RANK_AT_MOST, RANK_RANGE, RANK_PROJECTIVE_FULL):
             raise ValueError(f"unknown rank condition kind {self.kind!r}")
-        if self.kind == RANK_RANGE:
-            if self.k is None or self.l is None:
-                raise ValueError("range condition needs both k and l")
-            if self.k > self.l:
-                raise InvalidRange(f"empty range [{self.k}, {self.l}]")
-        elif self.kind == RANK_PROJECTIVE_FULL:
-            if self.n < 1:
-                raise ValueError("projective full rank needs n >= 1")
-        elif self.k is None:
+        if self.k is None:
             raise ValueError(f"{self.kind} condition needs k")
+        if (self.l is None) == (self.kind == RANK_RANGE):
+            raise ValueError(f"only range takes l, and needs it: {self.kind}, l={self.l}")
+        if self.kind == RANK_RANGE and self.k > self.l:
+            raise InvalidRange(f"empty range [{self.k}, {self.l}]")
+        if self.kind == RANK_PROJECTIVE_FULL and not 1 <= self.k == self.n:
+            raise ValueError(f"projective full rank needs k = n >= 1, got n={self.n}, k={self.k}")
 
     @classmethod
     def exact(cls, n: int, k: int) -> VarietyDescriptor:
@@ -110,12 +108,6 @@ class VarietyDescriptor:
         hi = self.l if self.kind == RANK_RANGE else self.k
         return range(max(lo, 0), min(hi, self.n) + 1)
 
-    def rank_json(self) -> dict:
-        out: dict = {"kind": self.kind, "k": self.k}
-        if self.kind == RANK_RANGE:
-            out["l"] = self.l
-        return out
-
 
 @dataclass(frozen=True)
 class MotivicClass:
@@ -129,9 +121,12 @@ class MotivicClass:
         """The bytes of ``json.dumps`` of the class's JSON object with
         ``indent=2``, every line prefixed by ``pad``; no trailing newline.
 
-        Built as text because ``json.dumps`` with an indent runs CPython's
-        pure-Python encoder, which costs more than computing the class.
-        Exponents and coefficients are decimal strings and need no escaping.
+        Written as text because ``json.dumps`` with an indent runs CPython's
+        pure-Python encoder, which costs more than computing the class. The
+        kind and route are this module's identifiers and need no escaping,
+        the ints are formatted with ``d``, and the polynomial is
+        :meth:`LaurentPolynomial.to_json`, which makes no object per term:
+        a max-n 60 table is 819,363 terms, 19.3 MB of text.
 
         >>> print(class_exact(1, 1).to_json())
         {
@@ -147,24 +142,13 @@ class MotivicClass:
           "route": "recursion"
         }
         """
-        inner = f"\n{pad}    "
-        rank = f",{inner}".join(
-            f"{json.dumps(key)}: {json.dumps(value)}"
-            for key, value in self.descriptor.rank_json().items()
-        )
-        terms = self.value.to_json_dict()
-        if terms:
-            body = f",{inner}".join(f'"{exp}": "{coeff}"' for exp, coeff in terms.items())
-            polynomial = f"{{{inner}{body}\n{pad}  }}"
-        else:
-            polynomial = "{}"
+        d = self.descriptor
+        upper = f',\n{pad}    "l": {d.l:d}' if d.kind == RANK_RANGE else ""
         return (
-            f"{pad}{{\n"
-            f'{pad}  "n": {self.descriptor.n},\n'
-            f'{pad}  "rank": {{{inner}{rank}\n{pad}  }},\n'
-            f'{pad}  "polynomial": {polynomial},\n'
-            f'{pad}  "route": {json.dumps(self.route)}\n'
-            f"{pad}}}"
+            f'{pad}{{\n{pad}  "n": {d.n:d},\n{pad}  "rank": {{\n'
+            f'{pad}    "kind": "{d.kind}",\n{pad}    "k": {d.k:d}{upper}\n{pad}  }},\n'
+            f'{pad}  "polynomial": {self.value.to_json(pad + "  ")},\n'
+            f'{pad}  "route": "{self.route}"\n{pad}}}'
         )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from json import dumps
+from json.encoder import encode_basestring_ascii as enc
 
 from . import ffield, motivic
 from .laurent import L, ZERO, NonzeroRemainder, monomial, shifted_sum
@@ -62,16 +63,18 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2)``, built as text like
-        :meth:`motivic.MotivicClass.to_json`: each leaf takes the C encoder."""
+        :meth:`motivic.MotivicClass.to_json`: string leaves take the C
+        ``encode_basestring_ascii`` that ``json.dumps`` of a str ends in,
+        params the ``d`` format; no leaf pays for a ``json.dumps`` call."""
         head = dumps({"config": dict(self.config), "summary": self.summary}, indent=2)
         rows = []
         for r in self.results:
-            params = ",\n        ".join(f"{dumps(k)}: {dumps(v)}" for k, v in r.params.items())
+            params = ",\n        ".join(f"{enc(k)}: {v:d}" for k, v in r.params.items())
             params = f"{{\n        {params}\n      }}" if params else "{}"
             rows.append(
-                f'    {{\n      "check_id": {dumps(r.check_id)},\n      "params": {params},\n'
-                f'      "status": {dumps(r.status)},\n      "expected": {dumps(r.expected)},\n'
-                f'      "actual": {dumps(r.actual)},\n      "reason": {dumps(r.reason)}\n    }}'
+                f'    {{\n      "check_id": {enc(r.check_id)},\n      "params": {params},\n'
+                f'      "status": {enc(r.status)},\n      "expected": {enc(r.expected)},\n'
+                f'      "actual": {enc(r.actual)},\n      "reason": {enc(r.reason)}\n    }}'
             )
         results = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
         return f'{head[:-2]},\n  "results": {results}\n}}'

@@ -132,9 +132,13 @@ def full_walk_census(n: int, field: PrimeField) -> FiberCensus:
 
 def class_json_dict(c: MotivicClass) -> dict:
     """The JSON object of a class: size, rank condition, polynomial, route."""
+    d = c.descriptor
+    rank = {"kind": d.kind, "k": d.k}
+    if d.l is not None:
+        rank["l"] = d.l
     return {
-        "n": c.descriptor.n,
-        "rank": c.descriptor.rank_json(),
+        "n": d.n,
+        "rank": rank,
         "polynomial": c.value.to_json_dict(),
         "route": c.route,
     }

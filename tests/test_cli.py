@@ -728,6 +728,10 @@ GOLDEN_SHA256 = {
         "fec88c345e54a7b16a7f36e42b6ec0662c994d206b8e5864b699eb3a19cfce47",
     "verify --primes 7 11 13 --format json":
         "1b809c9f475d3a56f4fd75c0b945b82d80737e2810bec35f567e0002a12b23c7",
+    "table --max-n 60 --format json":
+        "0da2fcc372153582fb045fc543fa4d96dceb08f21f39459b76f93e8c417a4ae3",
+    "table --max-n 40 --route closed-form --format json":
+        "d3602f0ffa5f26fa50001c745dbbfb1e47b5f0d15cd17cbc6fab6edac944e9e4",
 }
 
 

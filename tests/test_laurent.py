@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -107,6 +108,24 @@ def test_json_round_trip():
     assert data == {"5": "1", "2": "-1"}
     assert LaurentPolynomial({int(e): int(c) for e, c in data.items()}) == p
     assert ZERO.to_json_dict() == {}
+
+
+@pytest.mark.parametrize("pad", ["", "  ", "%d "])
+@pytest.mark.parametrize(
+    "p",
+    [
+        LaurentPolynomial({9: 2, 6: -3, 2: 1}),
+        L**3 - L**2 + L - 1,
+        monomial(2**64 + 1, 4) - monomial(3**50, 1),
+        -(L**4) + 2 * L,
+        monomial(-7, 0),
+        ZERO,
+    ],
+    ids=["interior_zeros", "unit_coefficients", "above_2_64", "negative_lead", "constant", "zero"],
+)
+def test_json_text_is_json_dumps(p, pad):
+    expected = json.dumps(p.to_json_dict(), indent=2).replace("\n", "\n" + pad)
+    assert p.to_json(pad) == expected
 
 
 def test_equality_and_hash():

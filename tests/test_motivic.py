@@ -264,6 +264,26 @@ class TestDescriptorsAndJson:
         with pytest.raises(ValueError):
             VarietyDescriptor(3, "bogus", 1)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(3, "projective_full"), (3, "projective_full", 1), (3, "exact", 1, 7), (3, "range", 1)],
+        ids=["projective_full_no_k", "projective_full_k_not_n", "exact_with_l", "range_no_l"],
+    )
+    def test_descriptor_k_and_l_must_fit_the_kind(self, args):
+        with pytest.raises(ValueError):
+            VarietyDescriptor(*args)
+
+    def test_every_classmethod_builds_with_an_int_k(self):
+        built = [
+            VarietyDescriptor.exact(3, 1),
+            VarietyDescriptor.at_most(3, -1),
+            VarietyDescriptor.rank_range(3, 1, 2),
+            VarietyDescriptor.projective_full(3),
+        ]
+        assert [d.kind for d in built] == ["exact", "at_most", "range", "projective_full"]
+        assert all(isinstance(d.k, int) for d in built)
+        assert [d.l for d in built] == [None, None, 2, None]
+
     def test_ranks_are_clipped_to_size(self):
         assert list(VarietyDescriptor.exact(3, 2).ranks()) == [2]
         assert list(VarietyDescriptor.exact(3, 5).ranks()) == []
