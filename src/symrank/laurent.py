@@ -19,19 +19,22 @@ Multiplying or dividing by such a binomial takes a shifted pass over
 slices, with no Python loop over coefficients: the product is the
 operand shifted by m minus itself, and the quotient is a running sum in
 each residue class mod m. Every other divisor takes long division.
+A product with L^s alone shares the other operand's tuple.
 Every sum, difference, negation, schoolbook product and polynomial built
 from terms is one integer-weighted sum of shifted terms in one buffer
 (:func:`shifted_sum`), as are the recursion and strata sums.
 
-The JSON text (:meth:`LaurentPolynomial.to_json`) is one ``%`` format
-over the interleaved exponents and coefficients, with no object per term:
-a max-n 60 table is 819,363 terms and 19.3 MB, and a string per term cost
-more than computing the classes.
+The JSON text (:meth:`LaurentPolynomial.to_json`) formats only the
+coefficients: an exponent line is the same text in every polynomial, so
+each run of nonzero coefficients is one slice of a cached template, and
+one ``%`` format fills in the coefficients. A max-n 60 table (819,363
+terms) renders in 0.12 s on a 2-vCPU VM, 0.19 s formatting exponents.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+import functools
+from itertools import accumulate
 from operator import add, neg, sub
 from typing import Mapping
 
@@ -102,6 +105,9 @@ class LaurentPolynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = (self, other) if len(self._coeffs) <= len(other._coeffs) else (other, self)
+        if a._coeffs == (1,):
+            # b * L^s: b shifted by s, sharing b's tuple.
+            return _canonical(a._lo + b._lo, b._coeffs)
         m = _binomial_degree(a._coeffs) if a._coeffs else 0
         if m:
             # b * (L^m - 1): b shifted up by m, minus b. The ends are
@@ -261,8 +267,9 @@ class LaurentPolynomial:
 
     def to_json(self, pad: str = "") -> str:
         """``json.dumps(self.to_json_dict(), indent=2)``, every line after
-        the first prefixed by ``pad``, from one ``%`` format whose ``%d``
-        writes each int straight into the output: no string per term.
+        the first prefixed by ``pad``, with no string per term: each run of
+        nonzero coefficients is one slice of :func:`_json_lines`, and one
+        ``%`` format writes the coefficients into it.
 
         >>> print((L**2 - 3).to_json())
         {
@@ -270,16 +277,37 @@ class LaurentPolynomial:
           "0": "-3"
         }
         """
-        rc = self._coeffs[::-1]
-        if not rc:
+        coeffs = self._coeffs
+        if not coeffs:
             return "{}"
-        values = list(compress(rc, rc))
-        flat = values * 2
-        flat[::2] = compress(range(self._lo + len(rc) - 1, self._lo - 1, -1), rc)
-        flat[1::2] = values
         pad = pad.replace("%", "%%")
-        lines = (f',\n{pad}  "%d": "%d"' * len(values))[1:]
-        return f"{{{lines}\n{pad}}}" % tuple(flat)
+        n, e = len(coeffs), self._lo + len(coeffs)
+        text, at = _json_lines(pad, 1 << (e - 1).bit_length())
+        # rc[i] is the coefficient of L^(e-1-i), and the 0 past its end
+        # closes the last run; each zero after the first of a run of zeros
+        # adds an empty slice.
+        rc, runs, i = (*reversed(coeffs), 0), [], 0
+        while i < n:
+            j = rc.index(0, i)
+            runs.append(text[at[e - i] : at[e - j]])
+            i = j + 1
+        lines = "".join(runs)[1:]
+        return f"{{{lines}\n{pad}}}" % tuple(filter(None, rc))
+
+
+@functools.lru_cache(maxsize=None)
+def _json_lines(pad: str, size: int) -> tuple[str, tuple[int, ...]]:
+    """The JSON lines of exponents size - 1 down to 0 as one text, each a
+    comma, a newline, ``pad`` and ``  "e": "%d"``, and offsets ``at`` such
+    that ``text[at[b] : at[a]]`` is the lines from L^(b-1) down to L^a.
+    ``pad`` has its ``%`` doubled.
+
+    Sizes are powers of two, so tables up to L^1830 build 12 per pad and
+    at most twice the text of the largest; a template is never edited, so
+    concurrent renderers share it safely.
+    """
+    lines = [f',\n{pad}  "{e}": "%d"' for e in range(size - 1, -1, -1)]
+    return "".join(lines), tuple(accumulate(map(len, lines), initial=0))[::-1]
 
 
 def shifted_sum(terms) -> LaurentPolynomial:

